@@ -36,8 +36,8 @@ use cbtc_core::parallel::{
 };
 use cbtc_core::reconfig::GeometricMetric;
 use cbtc_core::{
-    construction_cell, grow_node_metric_scratch, run_basic_with, BasicOutcome, CbtcConfig,
-    ConstructionMode, GrowScratch, Network, PAR_MIN_CHUNK,
+    construction_cell, grow_node_metric_scratch, run_basic, run_basic_brute, BasicOutcome,
+    CbtcConfig, GrowScratch, Network, PAR_MIN_CHUNK,
 };
 use cbtc_energy::{SurvivorTopology, TopologyPolicy};
 use cbtc_geom::Alpha;
@@ -79,7 +79,7 @@ struct WorkerStats {
 fn observe_workers(network: &Network, alpha: Alpha) -> (WorkerStats, BasicOutcome) {
     let registry = MetricsRegistry::enabled();
     install_metrics(&registry);
-    let outcome = run_basic_with(network, alpha, ConstructionMode::GridParallel);
+    let outcome = run_basic(network, alpha);
     uninstall_metrics();
     let snap = registry.snapshot();
     let busy = snap.histogram("par.worker_busy_nanos");
@@ -164,6 +164,15 @@ struct BenchDoc {
     wall_seconds: f64,
 }
 
+/// `f` run with every fan-out pinned to one thread — the single-thread
+/// grid engine.
+fn pinned<T>(f: impl FnOnce() -> T) -> T {
+    set_thread_cap(Some(1));
+    let out = f();
+    set_thread_cap(None);
+    out
+}
+
 /// Best-of-`rounds` wall time of `f`.
 fn best_of<T>(rounds: u32, mut f: impl FnMut() -> T) -> (f64, T) {
     let mut best = f64::INFINITY;
@@ -185,7 +194,7 @@ fn paper_density_network(nodes: usize, seed: u64) -> (Network, f64) {
 /// The parallel construction split into its phases, timed separately.
 /// The assembled outcome is returned so the caller can assert it equals
 /// the engine's own (the decomposition must not drift from
-/// `run_basic_with`).
+/// `run_basic`).
 fn phased_parallel_run(network: &Network, alpha: Alpha) -> (PhaseSeconds, BasicOutcome) {
     let layout = network.layout();
     let r = network.max_range();
@@ -228,21 +237,15 @@ fn bench_size(nodes: usize, alpha: Alpha, seed: u64, brute_max: usize) -> SizeRo
     // ones best-of to damp scheduler noise.
     let rounds = if nodes >= 100_000 { 1 } else { 3 };
 
-    let (grid_seconds, grid) = best_of(rounds, || {
-        run_basic_with(&network, alpha, ConstructionMode::Grid)
-    });
-    let (parallel_seconds, parallel) = best_of(rounds, || {
-        run_basic_with(&network, alpha, ConstructionMode::GridParallel)
-    });
+    let (grid_seconds, grid) = best_of(rounds, || pinned(|| run_basic(&network, alpha)));
+    let (parallel_seconds, parallel) = best_of(rounds, || run_basic(&network, alpha));
     assert_eq!(
         grid, parallel,
         "parallel engine diverged from single-thread grid at n={nodes}"
     );
 
     let brute_seconds = (nodes <= brute_max).then(|| {
-        let (brute_seconds, brute) = best_of(1, || {
-            run_basic_with(&network, alpha, ConstructionMode::Brute)
-        });
+        let (brute_seconds, brute) = best_of(1, || run_basic_brute(&network, alpha));
         assert_eq!(brute, grid, "grid engine diverged from oracle at n={nodes}");
         brute_seconds
     });
@@ -250,7 +253,7 @@ fn bench_size(nodes: usize, alpha: Alpha, seed: u64, brute_max: usize) -> SizeRo
     let (phases, phased) = phased_parallel_run(&network, alpha);
     assert_eq!(
         phased, parallel,
-        "phase decomposition diverged from run_basic_with at n={nodes}"
+        "phase decomposition diverged from run_basic at n={nodes}"
     );
 
     let (workers, observed) = observe_workers(&network, alpha);
@@ -281,7 +284,7 @@ fn bench_size(nodes: usize, alpha: Alpha, seed: u64, brute_max: usize) -> SizeRo
 /// bit-identical to the uncapped one.
 fn bench_thread_scaling(nodes: usize, alpha: Alpha, seed: u64) -> ThreadScaling {
     let (network, _) = paper_density_network(nodes, seed);
-    let reference = run_basic_with(&network, alpha, ConstructionMode::GridParallel);
+    let reference = run_basic(&network, alpha);
 
     let cores = detected_cores();
     let mut caps = vec![1usize];
@@ -298,7 +301,7 @@ fn bench_thread_scaling(nodes: usize, alpha: Alpha, seed: u64) -> ThreadScaling 
     for &cap in &caps {
         set_thread_cap(Some(cap));
         let (seconds, outcome) = best_of(if nodes >= 100_000 { 1 } else { 3 }, || {
-            run_basic_with(&network, alpha, ConstructionMode::GridParallel)
+            run_basic(&network, alpha)
         });
         assert_eq!(outcome, reference, "outcome changed under thread cap {cap}");
         let one = rows.first().map_or(seconds, |r: &ThreadRow| r.seconds);

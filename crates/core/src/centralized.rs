@@ -1,4 +1,5 @@
-//! The centralized reference implementation of `CBTC(α)`.
+//! The centralized reference implementation of `CBTC(α)`, as one
+//! construction pipeline generic over how a link is measured.
 //!
 //! The distributed algorithm of Figure 1 grows each node's power through a
 //! discrete schedule; its *idealized limit* grows power continuously, so a
@@ -8,30 +9,51 @@
 //! whose averages the paper's Table 1 reports, and serves as the oracle the
 //! distributed protocol is validated against.
 //!
-//! ## Output-sensitive construction
+//! ## One pipeline, any metric
+//!
+//! Following Sethu & Gerety, the only thing that varies between the ideal
+//! radio, a shadowed channel and its feedback-gated variant is the cost of
+//! a link — a [`LinkMetric`]. [`construct`] runs the paper's construction
+//! over any metric and an optional alive mask, in two stages:
+//!
+//! * **grow** (§2): a [`SpatialGrid`] over the alive nodes, then the
+//!   per-node growing kernel [`grow_node_metric_scratch`] fanned out with
+//!   [`crate::parallel::par_map_with`]; masked-out nodes get
+//!   [`dead_view`];
+//! * **optimize** (§3.1–3.3, [`optimize`]): shrink-back, the symmetric
+//!   core or closure, pairwise removal priced by the metric, then a
+//!   union-find connectivity guard that puts back any removed edge whose
+//!   loss would split a component. By Theorem 3.6 the guard restores
+//!   nothing on the unit disk ([`CbtcRun::pairwise_restored`] is empty);
+//!   off it, the restored count measures how often §3.3 over-prunes.
+//!
+//! [`run_basic`], [`run_centralized`] and [`run_centralized_masked`] are
+//! that pipeline over [`GeometricMetric`]. The incremental
+//! [`crate::reconfig::DeltaTopology`] builds its initial state from the
+//! same two stages.
+//!
+//! ## Output-sensitive growth
 //!
 //! CBTC's defining property (§2) is locality: a node's decision depends
-//! only on neighbors out to its final grow radius. The default engine
-//! exploits that — each node runs an expanding shell scan over a
-//! [`SpatialGrid`] ([`cbtc_graph::spatial::ShellScan`]), consuming
-//! candidates in `(distance, id)` order from a min-heap and maintaining
-//! the α-gap incrementally with a flat, allocation-free
+//! only on neighbors out to its final grow radius. The growing kernel
+//! exploits that — each node runs an expanding shell scan over the grid
+//! ([`cbtc_graph::spatial::ShellScan`]), consuming candidates in
+//! `(cost, id)` order from a min-heap and maintaining the α-gap
+//! incrementally with a flat, allocation-free
 //! [`cbtc_geom::gap::FlatGapTracker`]. Most nodes stop after a handful of
 //! rings, so the far side of the layout is never even enumerated; all
-//! transient buffers live in a per-worker [`GrowScratch`], and the
-//! per-node independence makes the whole phase a
-//! [`crate::parallel::par_map_with`]. The all-pairs scan survives as
-//! [`ConstructionMode::Brute`], the oracle the grid engine is
+//! transient buffers live in a per-worker [`GrowScratch`]. The all-pairs
+//! scan survives as [`run_basic_brute`], the oracle the grid engine is
 //! property-tested against.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 use cbtc_geom::{gap::has_alpha_gap, gap::FlatGapTracker, Alpha, Angle, Point2};
-use cbtc_graph::{Layout, NodeId, SpatialGrid, UndirectedGraph};
+use cbtc_graph::{Layout, NodeId, SpatialGrid, UndirectedGraph, UnionFind};
 use serde::{Deserialize, Serialize};
 
-use crate::opt::{self, PairwisePolicy};
+use crate::opt::{self, PairwiseOutcome, PairwisePolicy};
 use crate::parallel::par_map_with;
 use crate::reconfig::{GeometricMetric, LinkMetric};
 use crate::view::{BasicOutcome, Discovery, NodeView};
@@ -45,7 +67,8 @@ use crate::{CbtcConfig, Network};
 pub const PAR_MIN_CHUNK: usize = 128;
 
 /// Runs the growing phase of `CBTC(α)` for every node, with continuous
-/// power growth.
+/// power growth: the grow stage of [`construct`] over
+/// [`GeometricMetric`].
 ///
 /// For each node `u`, neighbors within range `R` are discovered in order of
 /// distance (ties discovered together); growth stops at the first radius at
@@ -78,88 +101,66 @@ pub const PAR_MIN_CHUNK: usize = 128;
 /// assert_eq!(outcome.view(NodeId::new(0)).grow_radius, 100.0);
 /// ```
 pub fn run_basic(network: &Network, alpha: Alpha) -> BasicOutcome {
-    run_basic_with(network, alpha, ConstructionMode::GridParallel)
-}
-
-/// Which engine [`run_basic_with`] grows the topology with.
-///
-/// All three produce **identical** outcomes (the property tests assert
-/// it); they differ only in cost. [`run_basic`] uses
-/// [`ConstructionMode::GridParallel`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ConstructionMode {
-    /// The original all-pairs reference: every node scans all `n − 1`
-    /// candidates and re-runs the batch α-gap test per distance group.
-    /// `O(n²)` — the oracle the grid engines are validated against.
-    Brute,
-    /// Output-sensitive: per-node expanding shell scan over a
-    /// [`SpatialGrid`] with an incremental
-    /// [`FlatGapTracker`](cbtc_geom::gap::FlatGapTracker), single thread.
-    Grid,
-    /// [`ConstructionMode::Grid`] with the per-node loop fanned out over
-    /// scoped threads ([`crate::parallel::par_map`]).
-    GridParallel,
-}
-
-/// [`run_basic`] with an explicit [`ConstructionMode`] — the hook the
-/// `construction` benchmark and the equivalence tests use.
-pub fn run_basic_with(network: &Network, alpha: Alpha, mode: ConstructionMode) -> BasicOutcome {
-    let layout = network.layout();
-    let r = network.max_range();
-    let views = match mode {
-        ConstructionMode::Brute => layout
-            .node_ids()
-            .map(|u| grow_node_brute(layout, u, alpha, r))
-            .collect(),
-        ConstructionMode::Grid | ConstructionMode::GridParallel => {
-            let grid = SpatialGrid::from_layout(layout, construction_cell(layout, r, layout.len()));
-            let ids: Vec<NodeId> = layout.node_ids().collect();
-            let min_chunk = match mode {
-                ConstructionMode::Grid => usize::MAX,
-                _ => PAR_MIN_CHUNK,
-            };
-            par_map_with(&ids, min_chunk, GrowScratch::new, |scratch, &u| {
-                grow_node_metric_scratch(layout, &grid, &GeometricMetric, u, alpha, r, scratch)
-            })
-        }
-    };
+    let (_, views) = grow_stage(
+        network.layout(),
+        network.max_range(),
+        &GeometricMetric,
+        alpha,
+        None,
+    );
     BasicOutcome::new(alpha, views)
 }
 
-/// Runs the growing phase over the surviving subset of a network: nodes
-/// with `alive[i]` false take no part — they discover nothing, are
-/// discovered by nobody, and receive the placeholder view
-/// `{discoveries: [], boundary: false, grow_radius: 0}`.
-///
-/// This is the §4 reconfiguration primitive: survivors rerun `CBTC(α)`
-/// among themselves *in place*, with no sub-layout or sub-network
-/// allocated and no ID remapping. The outcome is position-for-position
-/// identical to extracting the survivors into a fresh network and running
-/// [`run_basic`] there.
+/// The growing phase by an all-pairs scan: every node scans all
+/// `n − 1` candidates and re-runs the batch α-gap test per distance
+/// group. `O(n²)` — the oracle [`run_basic`] is validated against, bit
+/// for bit.
+pub fn run_basic_brute(network: &Network, alpha: Alpha) -> BasicOutcome {
+    let (layout, r) = (network.layout(), network.max_range());
+    let views = layout
+        .node_ids()
+        .map(|u| grow_node_brute(layout, u, alpha, r))
+        .collect();
+    BasicOutcome::new(alpha, views)
+}
+
+/// The grow stage of [`construct`]: a [`SpatialGrid`] over the alive
+/// nodes (all of them when `alive` is `None`), then
+/// [`grow_node_metric_scratch`] on every alive node with one
+/// [`GrowScratch`] per worker. Masked-out nodes take no part — they
+/// discover nothing, are discovered by nobody, and get [`dead_view`].
+/// Returns the grid too, which the incremental engine keeps maintaining.
 ///
 /// # Panics
 ///
-/// Panics if `alive.len()` differs from the network size.
-pub fn run_basic_masked(network: &Network, alpha: Alpha, alive: &[bool]) -> BasicOutcome {
-    let layout = network.layout();
-    assert_eq!(alive.len(), layout.len(), "alive mask size mismatch");
-    let r = network.max_range();
-    let population = alive.iter().filter(|a| **a).count();
-    let mut grid = SpatialGrid::new(construction_cell(layout, r, population));
+/// Panics if `alive.len()` differs from the layout size.
+pub(crate) fn grow_stage<M: LinkMetric + ?Sized>(
+    layout: &Layout,
+    max_range: f64,
+    metric: &M,
+    alpha: Alpha,
+    alive: Option<&[bool]>,
+) -> (SpatialGrid, Vec<NodeView>) {
+    if let Some(alive) = alive {
+        assert_eq!(alive.len(), layout.len(), "alive mask size mismatch");
+    }
+    let is_alive = |u: NodeId| alive.is_none_or(|a| a[u.index()]);
+    let population = alive.map_or(layout.len(), |a| a.iter().filter(|&&x| x).count());
+    let mut grid = SpatialGrid::new(construction_cell(layout, max_range, population));
     for (id, p) in layout.iter() {
-        if alive[id.index()] {
+        if is_alive(id) {
             grid.insert(id, p);
         }
     }
     let ids: Vec<NodeId> = layout.node_ids().collect();
     let views = par_map_with(&ids, PAR_MIN_CHUNK, GrowScratch::new, |scratch, &u| {
-        if alive[u.index()] {
-            grow_node_metric_scratch(layout, &grid, &GeometricMetric, u, alpha, r, scratch)
+        if is_alive(u) {
+            grow_node_metric_scratch(layout, &grid, metric, u, alpha, max_range, scratch)
         } else {
             dead_view()
         }
     });
-    BasicOutcome::new(alpha, views)
+    (grid, views)
 }
 
 /// The placeholder view of a node excluded by an alive mask: no
@@ -219,26 +220,6 @@ impl PartialOrd for PendingCandidate {
     }
 }
 
-/// Grows one node output-sensitively over a prebuilt [`SpatialGrid`]
-/// (which must index exactly the participating nodes, `u` itself
-/// included or not — `u` is skipped either way).
-///
-/// Candidates stream in from expanding shell rings; a candidate is only
-/// *discovered* once the scan guarantees nothing nearer remains
-/// unenumerated, so discoveries happen in exact `(distance, id)` order
-/// and equidistant groups complete before the α-gap is tested — matching
-/// [`ConstructionMode::Brute`] bit for bit. Nodes that stop early never
-/// enumerate the rings beyond their grow radius.
-pub fn grow_node_in_grid(
-    layout: &Layout,
-    grid: &SpatialGrid,
-    u: NodeId,
-    alpha: Alpha,
-    max_range: f64,
-) -> NodeView {
-    grow_node_metric(layout, grid, &GeometricMetric, u, alpha, max_range)
-}
-
 /// Reusable buffers for the growing kernel: the candidate min-heap, the
 /// shell-ring staging vec, the incremental α-gap tracker and the
 /// discovery accumulator.
@@ -246,7 +227,7 @@ pub fn grow_node_in_grid(
 /// One growth allocates all four; a scratch threaded through many growths
 /// ([`grow_node_metric_scratch`]) allocates only on high-water-mark
 /// increases, so per-node heap traffic drops to the output `Vec` alone.
-/// [`run_basic_with`] keeps one scratch per worker thread
+/// The grow stage of [`construct`] keeps one scratch per worker thread
 /// ([`crate::parallel::par_map_with`]); the incremental
 /// [`crate::reconfig::DeltaTopology`] engine keeps one per event batch.
 ///
@@ -268,35 +249,19 @@ impl GrowScratch {
     }
 }
 
-/// [`grow_node_in_grid`] over an arbitrary [`LinkMetric`]: an expanding
-/// shell scan in *geometric* space consuming candidates in *metric-cost*
-/// order — the one growing-phase kernel behind the ideal construction,
-/// the phy construction ([`crate::phy`]) and the incremental
-/// [`crate::reconfig::DeltaTopology`] engine.
+/// The growing kernel: grows node `u` over a prebuilt [`SpatialGrid`]
+/// (which must index exactly the participating nodes, `u` itself
+/// included or not — `u` is skipped either way), with all transient
+/// state borrowed from a caller-owned [`GrowScratch`].
 ///
-/// Allocates a fresh [`GrowScratch`] per call; loops over many nodes
-/// should use [`grow_node_metric_scratch`] directly.
-pub fn grow_node_metric<M: LinkMetric + ?Sized>(
-    layout: &Layout,
-    grid: &SpatialGrid,
-    metric: &M,
-    u: NodeId,
-    alpha: Alpha,
-    max_range: f64,
-) -> NodeView {
-    grow_node_metric_scratch(
-        layout,
-        grid,
-        metric,
-        u,
-        alpha,
-        max_range,
-        &mut GrowScratch::new(),
-    )
-}
-
-/// The scratch-reusing growing kernel: `grow_node_metric` with all
-/// transient state borrowed from a caller-owned [`GrowScratch`].
+/// An expanding shell scan in *geometric* space consumes candidates in
+/// *metric-cost* order — the one growing-phase kernel behind every
+/// [`construct`] and the incremental [`crate::reconfig::DeltaTopology`]
+/// engine. A candidate is only *discovered* once the scan guarantees
+/// nothing cheaper remains unenumerated, so discoveries happen in exact
+/// `(cost, id)` order and equal-cost groups complete before the α-gap is
+/// tested — matching [`run_basic_brute`] bit for bit. Nodes that stop
+/// early never enumerate the rings beyond their grow radius.
 ///
 /// The scan's completeness guarantee is geometric (every node nearer than
 /// `guaranteed_radius` has been enumerated); since an unenumerated node
@@ -305,7 +270,7 @@ pub fn grow_node_metric<M: LinkMetric + ?Sized>(
 /// [`GeometricMetric`] both bounds collapse to the geometric ones and
 /// this is bit-identical to the classic grid walk. The α-gap verdict
 /// comes from a radian-keyed [`FlatGapTracker`], whose spans are the
-/// same `ccw_to` arithmetic the historical `GapTracker` ran — outputs
+/// same `ccw_to` arithmetic the batch [`has_alpha_gap`] runs — outputs
 /// are bit-identical to every earlier engine, with near-zero allocation.
 pub fn grow_node_metric_scratch<M: LinkMetric + ?Sized>(
     layout: &Layout,
@@ -459,6 +424,7 @@ pub struct CbtcRun {
     after_shrink: Option<BasicOutcome>,
     graph: UndirectedGraph,
     pairwise_removed: Vec<(NodeId, NodeId)>,
+    pairwise_restored: Vec<(NodeId, NodeId)>,
 }
 
 impl CbtcRun {
@@ -467,7 +433,8 @@ impl CbtcRun {
         &self.config
     }
 
-    /// The raw growing-phase outcome (before any optimization).
+    /// The raw growing-phase outcome (before any optimization), with the
+    /// metric's costs as the views' distances.
     pub fn basic(&self) -> &BasicOutcome {
         &self.basic
     }
@@ -500,6 +467,14 @@ impl CbtcRun {
         &self.pairwise_removed
     }
 
+    /// The redundant edges the connectivity guard put back because their
+    /// removal would have split a component — always empty on the unit
+    /// disk (Theorem 3.6), and a direct measurement of how often §3.3
+    /// over-prunes off it.
+    pub fn pairwise_restored(&self) -> &[(NodeId, NodeId)] {
+        &self.pairwise_restored
+    }
+
     /// Whether the final graph preserves the connectivity of `full`
     /// (normally `network.max_power_graph()`), the Theorem 2.1 property.
     pub fn preserves_connectivity_of(&self, full: &UndirectedGraph) -> bool {
@@ -509,7 +484,7 @@ impl CbtcRun {
 
 /// Runs `CBTC(α)` centrally with the configured optimizations, in the
 /// paper's order: grow, shrink-back (§3.1), asymmetric edge removal (§3.2),
-/// pairwise edge removal (§3.3).
+/// pairwise edge removal (§3.3) — [`construct`] over [`GeometricMetric`].
 ///
 /// # Example
 ///
@@ -527,31 +502,78 @@ impl CbtcRun {
 /// assert!(run.preserves_connectivity_of(&net.max_power_graph()));
 /// ```
 pub fn run_centralized(network: &Network, config: &CbtcConfig) -> CbtcRun {
-    optimize(network, config, run_basic(network, config.alpha()))
+    construct(network, &GeometricMetric, config, None)
 }
 
-/// [`run_centralized`] over the surviving subset of a network: the growth
-/// phase is [`run_basic_masked`], and the §3 optimizations see masked-out
-/// nodes as isolated (empty views contribute no edges and no pairwise
-/// witnesses). The resulting graph lives on the **original** node set with
-/// every dead node isolated — edge-for-edge what extracting the survivors
-/// into a fresh network, running [`run_centralized`], and mapping the IDs
-/// back would produce, minus all of those allocations.
+/// [`run_centralized`] over the surviving subset of a network — the §4
+/// survivor re-run, in place. The resulting graph lives on the
+/// **original** node set with every dead node isolated: edge-for-edge
+/// what extracting the survivors into a fresh network, running
+/// [`run_centralized`], and mapping the IDs back would produce, minus all
+/// of those allocations.
 ///
 /// # Panics
 ///
 /// Panics if `alive.len()` differs from the network size.
 pub fn run_centralized_masked(network: &Network, config: &CbtcConfig, alive: &[bool]) -> CbtcRun {
-    optimize(
-        network,
-        config,
-        run_basic_masked(network, config.alpha(), alive),
-    )
+    construct(network, &GeometricMetric, config, Some(alive))
 }
 
-/// The §3 optimization pipeline shared by the full and masked runs:
-/// shrink-back, then the symmetric core or closure, then pairwise removal.
-fn optimize(network: &Network, config: &CbtcConfig, basic: BasicOutcome) -> CbtcRun {
+/// The construction pipeline: the grow stage over `metric` (restricted to
+/// the nodes where `alive` holds, if given), then [`optimize`].
+///
+/// Masked-out nodes discover nothing, are discovered by nobody, and end
+/// isolated; the §3 optimizations see them as isolated too (empty views
+/// contribute no edges and no pairwise witnesses). With an ideal
+/// [`crate::phy::PhyChannel`] the outcome is bit-identical to
+/// [`GeometricMetric`]'s.
+///
+/// # Panics
+///
+/// Panics if `alive.len()` differs from the network size.
+///
+/// # Example
+///
+/// ```
+/// use cbtc_core::reconfig::GeometricMetric;
+/// use cbtc_core::{construct, run_centralized, CbtcConfig, Network};
+/// use cbtc_geom::{Alpha, Point2};
+/// use cbtc_graph::Layout;
+///
+/// let net = Network::with_paper_radio(Layout::new(vec![
+///     Point2::new(0.0, 0.0),
+///     Point2::new(300.0, 0.0),
+///     Point2::new(150.0, 200.0),
+/// ]));
+/// let config = CbtcConfig::all_applicable(Alpha::TWO_PI_THIRDS);
+/// let run = construct(&net, &GeometricMetric, &config, Some(&[true, false, true]));
+/// assert_eq!(run.final_graph().degree(cbtc_graph::NodeId::new(1)), 0);
+/// assert_eq!(construct(&net, &GeometricMetric, &config, None), run_centralized(&net, &config));
+/// ```
+pub fn construct<M: LinkMetric + ?Sized>(
+    network: &Network,
+    metric: &M,
+    config: &CbtcConfig,
+    alive: Option<&[bool]>,
+) -> CbtcRun {
+    let alpha = config.alpha();
+    let (_, views) = grow_stage(network.layout(), network.max_range(), metric, alpha, alive);
+    optimize(network, metric, config, BasicOutcome::new(alpha, views))
+}
+
+/// The §3 optimization stage of [`construct`]: shrink-back, then the
+/// symmetric core or closure, then pairwise removal priced by `metric`
+/// behind the connectivity guard.
+///
+/// Public so differential oracles can push a growing-phase outcome
+/// obtained elsewhere (e.g. from the distributed protocol's views)
+/// through exactly this pipeline.
+pub fn optimize<M: LinkMetric + ?Sized>(
+    network: &Network,
+    metric: &M,
+    config: &CbtcConfig,
+    basic: BasicOutcome,
+) -> CbtcRun {
     let after_shrink = config.shrink_back().then(|| opt::shrink_back(&basic));
     let effective = after_shrink.as_ref().unwrap_or(&basic);
 
@@ -563,12 +585,12 @@ fn optimize(network: &Network, config: &CbtcConfig, basic: BasicOutcome) -> Cbtc
         effective.symmetric_closure()
     };
 
-    let mut pairwise_removed = Vec::new();
+    let (mut pairwise_removed, mut pairwise_restored) = (Vec::new(), Vec::new());
     if config.pairwise_removal() {
-        let outcome =
-            opt::pairwise_removal(&graph, network.layout(), PairwisePolicy::PowerReducing);
-        pairwise_removed = outcome.removed;
+        let (outcome, restored) = guarded_pairwise(&graph, network.layout(), metric);
         graph = outcome.graph;
+        pairwise_removed = outcome.removed;
+        pairwise_restored = restored;
     }
 
     CbtcRun {
@@ -577,7 +599,43 @@ fn optimize(network: &Network, config: &CbtcConfig, basic: BasicOutcome) -> Cbtc
         after_shrink,
         graph,
         pairwise_removed,
+        pairwise_restored,
     }
+}
+
+/// §3.3 pairwise removal with lengths measured through `metric`, behind
+/// the union-find connectivity guard: a removed edge whose endpoints fell
+/// into different components of the pruned graph is a bridge Theorem
+/// 3.6's induction failed to cover, so it goes back. The union-find runs
+/// over the pruned graph, then one pass over the removal list in its
+/// deterministic order.
+///
+/// Returns the guarded outcome (`removed` lists only the edges that stay
+/// removed) and the restored edges.
+pub(crate) fn guarded_pairwise<M: LinkMetric + ?Sized>(
+    graph: &UndirectedGraph,
+    layout: &Layout,
+    metric: &M,
+) -> (PairwiseOutcome, Vec<(NodeId, NodeId)>) {
+    let outcome =
+        opt::pairwise_removal_with(graph, layout, PairwisePolicy::PowerReducing, |a, b| {
+            metric.cost(a, b, layout.distance(a, b))
+        });
+    let mut graph = outcome.graph;
+    let mut uf = UnionFind::new(graph.node_count());
+    for (u, v) in graph.edges() {
+        uf.union(u, v);
+    }
+    let (mut removed, mut restored) = (Vec::new(), Vec::new());
+    for (u, v) in outcome.removed {
+        if uf.union(u, v) {
+            graph.add_edge(u, v);
+            restored.push((u, v));
+        } else {
+            removed.push((u, v));
+        }
+    }
+    (PairwiseOutcome { graph, removed }, restored)
 }
 
 #[cfg(test)]

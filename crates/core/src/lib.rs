@@ -17,9 +17,13 @@
 //!
 //! * [`Network`] — a node layout plus radio model, the world experiments
 //!   run against;
-//! * [`run_basic`] / [`run_centralized`] — the exact *centralized
-//!   reference*: continuous power growth through the sorted neighbor
-//!   distances, yielding the precise `rad⁻_{u,α}` radii the paper reports;
+//! * [`construct`] — the exact *centralized reference* as one pipeline,
+//!   generic over the [`reconfig::LinkMetric`] links are measured with and
+//!   an optional alive mask: continuous power growth through the sorted
+//!   neighbor costs, yielding the precise `rad⁻_{u,α}` radii the paper
+//!   reports, then the §3 optimizations; [`run_basic`],
+//!   [`run_centralized`] and [`run_centralized_masked`] are that pipeline
+//!   on the ideal radio;
 //! * [`opt`] — the three §3 optimizations: shrink-back, asymmetric edge
 //!   removal (`α ≤ 2π/3`), pairwise (redundant) edge removal;
 //! * [`CbtcConfig`] — which α and which optimizations to apply;
@@ -37,7 +41,8 @@
 //!
 //! | module | implements |
 //! |--------|------------|
-//! | [`run_basic`] / [`run_centralized`] | §2, Figure 1: the growing phase, centralized reference |
+//! | [`construct`] | §2–§3 as one pipeline over any [`reconfig::LinkMetric`]: grow (Figure 1, centralized reference), then [`optimize`] — shrink-back, core/closure, metric-priced pairwise removal behind a connectivity guard that Theorem 3.6 makes a no-op on the unit disk |
+//! | [`run_basic`] / [`run_centralized`] | §2, Figure 1: the growing phase and the full run on the ideal radio |
 //! | [`opt::shrink_back`](opt) | §3.1, Theorem 3.1 |
 //! | [`opt::asymmetric`](opt) | §3.2, Theorem 3.2 (requires `α ≤ 2π/3`) |
 //! | [`opt::pairwise`](opt) | §3.3, Theorem 3.6 |
@@ -46,12 +51,12 @@
 //! | [`reconfig::DeltaTopology`] | §4 centralized mirror: a maintained `CBTC(α)` run under death/join/move streams, generic over a [`reconfig::LinkMetric`] (ideal or phy effective distance), affected sets from the reverse discovery relation, grid-free cached-prefix replay when no α-gap opens |
 //! | [`reconfig::routing`] | scaling infrastructure: which cached shortest-path trees a topology delta can invalidate (shared by the lifetime engine and the churn stretch probes) |
 //! | [`theory`] | Lemma 2.2 / Corollary 2.3 / redundancy, as executable predicates |
-//! | [`grow_node_in_grid`] / [`ConstructionMode`] | scaling infrastructure (no paper analogue): output-sensitive shell-scan growth, validated against the all-pairs oracle |
-//! | [`run_basic_masked`] / [`run_centralized_masked`] | §4 at scale: survivor re-runs over an alive mask, no sub-network allocation |
+//! | [`run_basic_brute`] | the all-pairs growing phase: the oracle the output-sensitive shell-scan growth is validated against |
+//! | [`run_centralized_masked`] / `construct(.., Some(alive))` | §4 at scale: survivor re-runs over an alive mask, no sub-network allocation |
 //! | [`parallel`] | scaling infrastructure: scoped-thread fan-out of the per-node growing phase, with per-worker scratch state and an adaptive work-stealing chunker |
-//! | [`grow_node_metric_scratch`] / [`GrowScratch`] | §2's growing phase as an allocation-free kernel: one reusable heap/ring/gap-tracker/discovery buffer set serves every node a worker grows, bit-identical to the allocating path |
-//! | [`phy`] | beyond the paper: the same construction over a stochastic channel (per-link gains → effective distances), bit-identical to the ideal path when every gain is 1 |
-//! | [`phy::AckGatedChannel`] / [`phy::run_phy_gated_centralized`] | §2's measurement assumption made honest off the ideal channel: the link cost a *distributed* measured-power node can learn (forward effective distance, gated on the reply closing at max power) — the centralized reference the measured-pricing differential oracle tests against |
+//! | [`grow_node_metric_scratch`] / [`GrowScratch`] | §2's growing phase as an allocation-free kernel: one reusable heap/ring/gap-tracker/discovery buffer set serves every node a worker grows; output-sensitive shell-scan growth (no paper analogue) |
+//! | [`phy`] | beyond the paper: [`construct`] over a stochastic channel (per-link gains → effective distances), bit-identical to the ideal path when every gain is 1 |
+//! | [`phy::AckGatedChannel`] | §2's measurement assumption made honest off the ideal channel: the link cost a *distributed* measured-power node can learn (forward effective distance, gated on the reply closing at max power) — the centralized reference the measured-pricing differential oracle tests against |
 //!
 //! # Example
 //!
@@ -90,9 +95,8 @@ pub mod reconfig;
 pub mod theory;
 
 pub use centralized::{
-    construction_cell, dead_view, grow_node_in_grid, grow_node_metric_scratch, run_basic,
-    run_basic_masked, run_basic_with, run_centralized, run_centralized_masked, CbtcRun,
-    ConstructionMode, GrowScratch, PAR_MIN_CHUNK,
+    construct, construction_cell, dead_view, grow_node_metric_scratch, optimize, run_basic,
+    run_basic_brute, run_centralized, run_centralized_masked, CbtcRun, GrowScratch, PAR_MIN_CHUNK,
 };
 pub use config::CbtcConfig;
 pub use error::CbtcError;

@@ -1,10 +1,9 @@
 //! A minimal scoped-thread parallel map.
 //!
-//! The container has no rayon; the embarrassingly parallel loops in this
-//! workspace (per-node growth in [`crate::run_basic`], per-seed lifetime
+//! There is no rayon dependency; the embarrassingly parallel loops in this
+//! workspace (per-node growth in [`crate::construct`], per-seed lifetime
 //! trials in `cbtc-energy`) need nothing more than a chunked fan-out over
-//! `std::thread::scope`, the same pattern `cbtc_energy::runner` already
-//! uses for multi-seed experiments. [`par_map`] packages it once:
+//! `std::thread::scope`. [`par_map`] packages it once:
 //! deterministic output order, graceful sequential fallback when the input
 //! is small or the machine has a single core, and panic propagation from
 //! worker threads.
@@ -117,8 +116,17 @@ pub fn effective_parallelism() -> usize {
 /// How many worker threads a [`par_map`] over `len` items with this
 /// `min_chunk` would use right now — the number the benchmarks record.
 /// (A call made from inside another fan-out runs inline regardless.)
+///
+/// Inputs with at most one chunk's worth of items answer 1 without
+/// asking the OS for the core count: that query costs microseconds, which
+/// is real money on the small-batch paths (one reconfiguration event per
+/// commit) that call this on every fan-out.
 pub fn planned_threads(len: usize, min_chunk: usize) -> usize {
-    effective_parallelism().min(len / min_chunk.max(1)).max(1)
+    let chunks = len / min_chunk.max(1);
+    if chunks <= 1 {
+        return 1;
+    }
+    effective_parallelism().min(chunks)
 }
 
 std::thread_local! {
@@ -144,9 +152,10 @@ impl Drop for FanOutGuard {
 
 /// Runs `f` with any [`par_map`] it calls on this thread forced inline.
 ///
-/// For callers that hand-roll their own scoped-thread fan-out (the
-/// multi-seed lifetime runner): wrapping each worker's body keeps nested
-/// parallel maps from multiplying threads beyond the core count.
+/// Every [`par_map`] worker runs inside this scope; callers that
+/// hand-roll their own scoped-thread fan-out can wrap each worker's body
+/// in it to keep nested parallel maps from multiplying threads beyond the
+/// core count.
 pub fn without_nested_fan_out<T>(f: impl FnOnce() -> T) -> T {
     let _guard = FanOutGuard::enter();
     f()
@@ -218,8 +227,12 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, &T) -> U + Sync,
 {
-    let threads = planned_threads(items.len(), min_chunk);
-    if threads <= 1 || IN_FAN_OUT.get() {
+    let threads = if IN_FAN_OUT.get() {
+        1
+    } else {
+        planned_threads(items.len(), min_chunk)
+    };
+    if threads <= 1 {
         let mut state = init();
         return items.iter().map(|t| f(&mut state, t)).collect();
     }
@@ -274,6 +287,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Serializes the tests that change the process-wide thread cap.
+    static CAP_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn preserves_order_and_covers_all_items() {
@@ -336,6 +352,7 @@ mod tests {
 
     #[test]
     fn thread_cap_clamps_planned_threads() {
+        let _lock = CAP_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         assert!(detected_cores() >= 1);
         assert_eq!(planned_threads(0, 8), 1);
         assert_eq!(planned_threads(10_000, usize::MAX), 1);
@@ -352,6 +369,28 @@ mod tests {
         // A cap above the core count clamps down to it.
         set_thread_cap(Some(usize::MAX));
         assert_eq!(effective_parallelism(), detected_cores());
+        set_thread_cap(None);
+    }
+
+    /// The early return below one chunk is a shortcut, not a policy
+    /// change: `planned_threads` equals the plain formula for every small
+    /// input, capped and uncapped.
+    #[test]
+    fn planned_threads_matches_the_unshortcut_formula() {
+        let _lock = CAP_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        for cap in [None, Some(1), Some(2)] {
+            set_thread_cap(cap);
+            let budget = effective_parallelism();
+            for min_chunk in [0, 1, 2, 3, 32, 128, usize::MAX] {
+                for len in 0..600 {
+                    assert_eq!(
+                        planned_threads(len, min_chunk),
+                        budget.min(len / min_chunk.max(1)).max(1),
+                        "len {len}, min_chunk {min_chunk}, cap {cap:?}"
+                    );
+                }
+            }
+        }
         set_thread_cap(None);
     }
 

@@ -1,5 +1,5 @@
-//! `CBTC(α)` over a stochastic channel: the growing phase and the §3
-//! optimization pipeline with per-link gains.
+//! `CBTC(α)` over a stochastic channel: per-link gains as a
+//! [`LinkMetric`], and the max-power reach graphs it is judged against.
 //!
 //! The centralized reference ([`crate::run_basic`]) grows each node
 //! through its neighbors in order of *distance*, because under the ideal
@@ -17,8 +17,9 @@
 //! Discovery order, the α-gap test, grow radii, shrink-back and the
 //! symmetric core/closure all read effective distances; the geometry
 //! (directions) is untouched apart from optional angle-of-arrival error.
-//! With every gain exactly `1.0` the effective distance *is* the
-//! geometric distance, and this pipeline is **bit-identical** to
+//! [`crate::construct`] with a [`PhyChannel`] as the metric is that
+//! construction. With every gain exactly `1.0` the effective distance
+//! *is* the geometric distance, and the pipeline is **bit-identical** to
 //! [`crate::run_centralized`] — the workspace property tests pin that
 //! down.
 //!
@@ -26,32 +27,23 @@
 //! d_eff(v → u)`: links are genuinely asymmetric, a node may hear a
 //! neighbor it cannot reach back, and the §3.2 asymmetric-edge-removal
 //! guarantee is exercised off the unit disk — the regime the `cbtc phy`
-//! workload measures.
+//! workload measures. Theorem 3.6's proof that *all* redundant edges can
+//! go at once leans on the unit-disk structure of `G_α` (short edges are
+//! present, Corollary 2.3); off the unit disk that scaffolding is gone,
+//! which is why every construction runs pairwise removal behind a
+//! connectivity guard ([`crate::CbtcRun::pairwise_restored`] counts what
+//! it put back).
 //!
-//! ## The pairwise-removal connectivity guard
-//!
-//! Theorem 3.6's proof that *all* redundant edges can go at once leans on
-//! the unit-disk structure of `G_α` (short edges are present, Corollary
-//! 2.3). Off the unit disk that scaffolding is gone, so
-//! [`run_phy_centralized`] re-checks: any removed edge that still bridges
-//! two components of the pruned graph is restored (a union-find pass over
-//! the removal list). On an ideal channel the theorem holds and the guard
-//! provably restores nothing, preserving bit-identity; off it, the
-//! restored count is itself a measurement of how often §3.3 would have
-//! broken connectivity.
+//! A *distributed* measured-power node can only learn the cost of a link
+//! whose reply closes at maximum power; [`AckGatedChannel`] is that
+//! feedback-gated metric.
 
-use cbtc_geom::Alpha;
-use cbtc_graph::{DirectedGraph, NodeId, SpatialGrid, UndirectedGraph, UnionFind};
+use cbtc_graph::{DirectedGraph, NodeId, SpatialGrid, UndirectedGraph};
 use cbtc_radio::{DirectionSensor, LinkGain, PowerLaw};
 
-use crate::centralized::{
-    construction_cell, dead_view, grow_node_metric_scratch, GrowScratch, PAR_MIN_CHUNK,
-};
-use crate::opt::{self, PairwisePolicy};
-use crate::parallel::par_map_with;
+use crate::centralized::construction_cell;
 use crate::reconfig::LinkMetric;
-use crate::view::{BasicOutcome, NodeView};
-use crate::{CbtcConfig, Network};
+use crate::Network;
 
 /// The stochastic channel a phy construction runs against: the
 /// deterministic path-loss model plus a frozen link-gain field and an
@@ -135,71 +127,6 @@ impl LinkMetric for PhyChannel<'_> {
     }
 }
 
-/// Grows one node over the stochastic channel: the shared
-/// [`grow_node_metric_scratch`] kernel with the channel as the metric.
-/// With an ideal gain field both bounds collapse to the geometric ones
-/// and the walk replays [`crate::grow_node_in_grid`] exactly.
-fn grow_node_phy(
-    layout: &cbtc_graph::Layout,
-    grid: &SpatialGrid,
-    channel: &PhyChannel<'_>,
-    u: NodeId,
-    alpha: Alpha,
-    max_range: f64,
-    scratch: &mut GrowScratch,
-) -> NodeView {
-    grow_node_metric_scratch(layout, grid, channel, u, alpha, max_range, scratch)
-}
-
-/// The growing phase of `CBTC(α)` over a stochastic channel, for every
-/// node. With an ideal gain field and exact sensor, bit-identical to
-/// [`crate::run_basic`].
-pub fn run_phy_basic(network: &Network, channel: &PhyChannel<'_>, alpha: Alpha) -> BasicOutcome {
-    let layout = network.layout();
-    let r = network.max_range();
-    let grid = SpatialGrid::from_layout(layout, construction_cell(layout, r, layout.len()));
-    let ids: Vec<NodeId> = layout.node_ids().collect();
-    let views = par_map_with(&ids, PAR_MIN_CHUNK, GrowScratch::new, |scratch, &u| {
-        grow_node_phy(layout, &grid, channel, u, alpha, r, scratch)
-    });
-    BasicOutcome::new(alpha, views)
-}
-
-/// [`run_phy_basic`] over the surviving subset of the network: masked-out
-/// nodes discover nothing and are discovered by nobody (the §4 survivor
-/// re-run, phy edition). With an ideal gain field, bit-identical to
-/// [`crate::run_basic_masked`].
-///
-/// # Panics
-///
-/// Panics if `alive.len()` differs from the network size.
-pub fn run_phy_basic_masked(
-    network: &Network,
-    channel: &PhyChannel<'_>,
-    alpha: Alpha,
-    alive: &[bool],
-) -> BasicOutcome {
-    let layout = network.layout();
-    assert_eq!(alive.len(), layout.len(), "alive mask size mismatch");
-    let r = network.max_range();
-    let population = alive.iter().filter(|a| **a).count();
-    let mut grid = SpatialGrid::new(construction_cell(layout, r, population));
-    for (id, p) in layout.iter() {
-        if alive[id.index()] {
-            grid.insert(id, p);
-        }
-    }
-    let ids: Vec<NodeId> = layout.node_ids().collect();
-    let views = par_map_with(&ids, PAR_MIN_CHUNK, GrowScratch::new, |scratch, &u| {
-        if alive[u.index()] {
-            grow_node_phy(layout, &grid, channel, u, alpha, r, scratch)
-        } else {
-            dead_view()
-        }
-    });
-    BasicOutcome::new(alpha, views)
-}
-
 /// The feedback-gated effective-distance metric: what a *distributed*
 /// measured-power node can actually learn about its links.
 ///
@@ -251,253 +178,6 @@ impl LinkMetric for AckGatedChannel<'_> {
 
     fn direction(&self, layout: &cbtc_graph::Layout, u: NodeId, v: NodeId) -> cbtc_geom::Angle {
         LinkMetric::direction(self.channel, layout, u, v)
-    }
-}
-
-/// The growing phase over the feedback-gated metric of
-/// [`AckGatedChannel`]: the centralized reference for the distributed
-/// measured-power protocol. With reciprocal (or ideal) gains,
-/// bit-identical to [`run_phy_basic`].
-pub fn run_phy_gated_basic(
-    network: &Network,
-    channel: &PhyChannel<'_>,
-    alpha: Alpha,
-) -> BasicOutcome {
-    let layout = network.layout();
-    let r = network.max_range();
-    let gated = AckGatedChannel::new(channel, r);
-    let grid = SpatialGrid::from_layout(layout, construction_cell(layout, r, layout.len()));
-    let ids: Vec<NodeId> = layout.node_ids().collect();
-    let views = par_map_with(&ids, PAR_MIN_CHUNK, GrowScratch::new, |scratch, &u| {
-        grow_node_metric_scratch(layout, &grid, &gated, u, alpha, r, scratch)
-    });
-    BasicOutcome::new(alpha, views)
-}
-
-/// [`run_phy_gated_basic`] followed by the standard §3 pipeline
-/// ([`optimize_phy`]). Every edge of the symmetric core/closure has both
-/// directions closable (`cost` finite both ways), so the ungated
-/// effective distances the pipeline prices pairwise removal with agree
-/// with the gated ones on every edge it can see.
-pub fn run_phy_gated_centralized(
-    network: &Network,
-    channel: &PhyChannel<'_>,
-    config: &CbtcConfig,
-) -> PhyRun {
-    optimize_phy(
-        network,
-        channel,
-        config,
-        run_phy_gated_basic(network, channel, config.alpha()),
-    )
-}
-
-/// [`run_phy_gated_basic`] over the surviving subset of the network —
-/// the §4 survivor re-run of the measured-power construction. With
-/// reciprocal (or ideal) gains, bit-identical to
-/// [`run_phy_basic_masked`].
-///
-/// # Panics
-///
-/// Panics if `alive.len()` differs from the network size.
-pub fn run_phy_gated_basic_masked(
-    network: &Network,
-    channel: &PhyChannel<'_>,
-    alpha: Alpha,
-    alive: &[bool],
-) -> BasicOutcome {
-    let layout = network.layout();
-    assert_eq!(alive.len(), layout.len(), "alive mask size mismatch");
-    let r = network.max_range();
-    let gated = AckGatedChannel::new(channel, r);
-    let population = alive.iter().filter(|a| **a).count();
-    let mut grid = SpatialGrid::new(construction_cell(layout, r, population));
-    for (id, p) in layout.iter() {
-        if alive[id.index()] {
-            grid.insert(id, p);
-        }
-    }
-    let ids: Vec<NodeId> = layout.node_ids().collect();
-    let views = par_map_with(&ids, PAR_MIN_CHUNK, GrowScratch::new, |scratch, &u| {
-        if alive[u.index()] {
-            grow_node_metric_scratch(layout, &grid, &gated, u, alpha, r, scratch)
-        } else {
-            dead_view()
-        }
-    });
-    BasicOutcome::new(alpha, views)
-}
-
-/// [`run_phy_gated_centralized`] over the surviving subset of the
-/// network.
-///
-/// # Panics
-///
-/// Panics if `alive.len()` differs from the network size.
-pub fn run_phy_gated_centralized_masked(
-    network: &Network,
-    channel: &PhyChannel<'_>,
-    config: &CbtcConfig,
-    alive: &[bool],
-) -> PhyRun {
-    optimize_phy(
-        network,
-        channel,
-        config,
-        run_phy_gated_basic_masked(network, channel, config.alpha(), alive),
-    )
-}
-
-/// The staged result of a full phy `CBTC(α)` run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhyRun {
-    basic: BasicOutcome,
-    after_shrink: Option<BasicOutcome>,
-    graph: UndirectedGraph,
-    pairwise_removed: Vec<(NodeId, NodeId)>,
-    pairwise_restored: Vec<(NodeId, NodeId)>,
-}
-
-impl PhyRun {
-    /// The raw growing-phase outcome (effective distances in the views).
-    pub fn basic(&self) -> &BasicOutcome {
-        &self.basic
-    }
-
-    /// The outcome after shrink-back, if op1 was enabled.
-    pub fn after_shrink(&self) -> Option<&BasicOutcome> {
-        self.after_shrink.as_ref()
-    }
-
-    /// The outcome the final graph was derived from.
-    pub fn effective(&self) -> &BasicOutcome {
-        self.after_shrink.as_ref().unwrap_or(&self.basic)
-    }
-
-    /// The final topology after all configured optimizations.
-    pub fn final_graph(&self) -> &UndirectedGraph {
-        &self.graph
-    }
-
-    /// Consumes the run and returns the final topology without copying.
-    pub fn into_final_graph(self) -> UndirectedGraph {
-        self.graph
-    }
-
-    /// The edges pairwise removal dropped (empty when op3 is off).
-    pub fn pairwise_removed(&self) -> &[(NodeId, NodeId)] {
-        &self.pairwise_removed
-    }
-
-    /// The redundant edges the connectivity guard put back because their
-    /// removal would have split a component — always empty on an ideal
-    /// channel (Theorem 3.6 holds there), and a direct measurement of how
-    /// often §3.3 over-prunes off the unit disk.
-    pub fn pairwise_restored(&self) -> &[(NodeId, NodeId)] {
-        &self.pairwise_restored
-    }
-
-    /// Whether the final graph preserves the connectivity of `full`.
-    pub fn preserves_connectivity_of(&self, full: &UndirectedGraph) -> bool {
-        cbtc_graph::connectivity::preserves_connectivity(&self.graph, full)
-    }
-}
-
-/// Runs phy `CBTC(α)` centrally with the configured optimizations: grow,
-/// shrink-back, symmetric core/closure, connectivity-guarded pairwise
-/// removal. With an ideal gain field, bit-identical to
-/// [`crate::run_centralized`] (and the guard provably restores nothing).
-pub fn run_phy_centralized(
-    network: &Network,
-    channel: &PhyChannel<'_>,
-    config: &CbtcConfig,
-) -> PhyRun {
-    optimize_phy(
-        network,
-        channel,
-        config,
-        run_phy_basic(network, channel, config.alpha()),
-    )
-}
-
-/// [`run_phy_centralized`] over the surviving subset of the network.
-///
-/// # Panics
-///
-/// Panics if `alive.len()` differs from the network size.
-pub fn run_phy_centralized_masked(
-    network: &Network,
-    channel: &PhyChannel<'_>,
-    config: &CbtcConfig,
-    alive: &[bool],
-) -> PhyRun {
-    optimize_phy(
-        network,
-        channel,
-        config,
-        run_phy_basic_masked(network, channel, config.alpha(), alive),
-    )
-}
-
-/// The §3 optimization pipeline over a phy growing-phase outcome:
-/// identical to the ideal pipeline except that pairwise removal measures
-/// edges by *effective* distance (each endpoint's gain-adjusted cost to
-/// reach the other, the same metric the growth phase ordered by) and
-/// runs behind the connectivity guard.
-///
-/// Public so differential oracles can push a growing-phase outcome
-/// obtained elsewhere (e.g. from the distributed protocol's views)
-/// through exactly this pipeline.
-pub fn optimize_phy(
-    network: &Network,
-    channel: &PhyChannel<'_>,
-    config: &CbtcConfig,
-    basic: BasicOutcome,
-) -> PhyRun {
-    let after_shrink = config.shrink_back().then(|| opt::shrink_back(&basic));
-    let effective = after_shrink.as_ref().unwrap_or(&basic);
-
-    let mut graph = if config.asymmetric_removal() {
-        debug_assert!(config.alpha().supports_asymmetric_removal());
-        effective.symmetric_core()
-    } else {
-        effective.symmetric_closure()
-    };
-
-    let mut pairwise_removed = Vec::new();
-    let mut pairwise_restored = Vec::new();
-    if config.pairwise_removal() {
-        let layout = network.layout();
-        let outcome =
-            opt::pairwise_removal_with(&graph, layout, PairwisePolicy::PowerReducing, |a, b| {
-                channel.effective_distance(a, b, layout.distance(a, b))
-            });
-        graph = outcome.graph;
-        // The guard: an edge whose endpoints fell into different
-        // components of the pruned graph is a bridge Theorem 3.6's
-        // induction failed to cover — put it back. Union-find over the
-        // pruned graph, then one pass over the removal list in its
-        // deterministic order.
-        let mut uf = UnionFind::new(graph.node_count());
-        for (u, v) in graph.edges() {
-            uf.union(u, v);
-        }
-        for &(u, v) in &outcome.removed {
-            if uf.union(u, v) {
-                graph.add_edge(u, v);
-                pairwise_restored.push((u, v));
-            } else {
-                pairwise_removed.push((u, v));
-            }
-        }
-    }
-
-    PhyRun {
-        basic,
-        after_shrink,
-        graph,
-        pairwise_removed,
-        pairwise_restored,
     }
 }
 
@@ -583,8 +263,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_basic, run_centralized};
-    use cbtc_geom::Point2;
+    use crate::reconfig::GeometricMetric;
+    use crate::{construct, run_basic, CbtcConfig};
+    use cbtc_geom::{Alpha, Point2};
     use cbtc_graph::Layout;
     use cbtc_radio::IdealGain;
 
@@ -603,47 +284,38 @@ mod tests {
         ))
     }
 
+    /// Both phy metrics over an ideal gain field replay the geometric
+    /// construction bit for bit — views, final graphs, removals — full
+    /// and masked, and the connectivity guard never fires.
     #[test]
-    fn ideal_channel_reproduces_run_basic_bitwise() {
+    fn ideal_channel_reproduces_run_centralized_bitwise() {
+        fn check<M: LinkMetric>(network: &Network, metric: &M, seed: u64) {
+            let alive: Vec<bool> = (0..network.len()).map(|i| i % 5 != 0).collect();
+            for mask in [None, Some(alive.as_slice())] {
+                for config in [
+                    CbtcConfig::new(Alpha::FIVE_PI_SIXTHS),
+                    CbtcConfig::all_applicable(Alpha::FIVE_PI_SIXTHS),
+                    CbtcConfig::all_applicable(Alpha::TWO_PI_THIRDS),
+                ] {
+                    let phy = construct(network, metric, &config, mask);
+                    let ideal = construct(network, &GeometricMetric, &config, mask);
+                    assert_eq!(phy.basic().views(), ideal.basic().views(), "seed {seed}");
+                    assert_eq!(phy.final_graph(), ideal.final_graph(), "seed {seed}");
+                    assert_eq!(phy.pairwise_removed(), ideal.pairwise_removed());
+                    assert!(phy.pairwise_restored().is_empty(), "guard must be a no-op");
+                }
+            }
+        }
         for seed in [1, 5, 23] {
             let network = scattered(60, 1400.0, seed);
             let channel = PhyChannel::new(network.model(), &IdealGain);
-            for alpha in [Alpha::FIVE_PI_SIXTHS, Alpha::TWO_PI_THIRDS] {
-                let phy = run_phy_basic(&network, &channel, alpha);
-                let ideal = run_basic(&network, alpha);
-                assert_eq!(phy.views(), ideal.views(), "seed {seed}, α {alpha}");
-            }
+            check(&network, &channel, seed);
+            check(
+                &network,
+                &AckGatedChannel::new(&channel, network.max_range()),
+                seed,
+            );
         }
-    }
-
-    #[test]
-    fn ideal_channel_reproduces_run_centralized_bitwise() {
-        for seed in [2, 9] {
-            let network = scattered(50, 1200.0, seed);
-            let channel = PhyChannel::new(network.model(), &IdealGain);
-            for config in [
-                CbtcConfig::new(Alpha::FIVE_PI_SIXTHS),
-                CbtcConfig::all_applicable(Alpha::FIVE_PI_SIXTHS),
-                CbtcConfig::all_applicable(Alpha::TWO_PI_THIRDS),
-            ] {
-                let phy = run_phy_centralized(&network, &channel, &config);
-                let ideal = run_centralized(&network, &config);
-                assert_eq!(phy.final_graph(), ideal.final_graph(), "seed {seed}");
-                assert_eq!(phy.pairwise_removed(), ideal.pairwise_removed());
-                assert!(phy.pairwise_restored().is_empty(), "guard must be a no-op");
-                assert_eq!(phy.basic().views(), ideal.basic().views());
-            }
-        }
-    }
-
-    #[test]
-    fn ideal_masked_matches_run_basic_masked_bitwise() {
-        let network = scattered(40, 1000.0, 7);
-        let channel = PhyChannel::new(network.model(), &IdealGain);
-        let alive: Vec<bool> = (0..network.len()).map(|i| i % 5 != 0).collect();
-        let phy = run_phy_basic_masked(&network, &channel, Alpha::TWO_PI_THIRDS, &alive);
-        let ideal = crate::run_basic_masked(&network, Alpha::TWO_PI_THIRDS, &alive);
-        assert_eq!(phy.views(), ideal.views());
     }
 
     #[test]
@@ -706,8 +378,9 @@ mod tests {
         let network = scattered(30, 900.0, 4);
         let noisy = DirectionSensor::with_error_bound_seeded(0.05, 9);
         let channel = PhyChannel::new(network.model(), &IdealGain).with_sensor(noisy);
-        let a = run_phy_basic(&network, &channel, Alpha::TWO_PI_THIRDS);
-        let b = run_phy_basic(&network, &channel, Alpha::TWO_PI_THIRDS);
+        let config = CbtcConfig::new(Alpha::TWO_PI_THIRDS);
+        let a = construct(&network, &channel, &config, None).basic().clone();
+        let b = construct(&network, &channel, &config, None).basic().clone();
         assert_eq!(a.views(), b.views(), "same sensor seed must replay");
         let exact = run_basic(&network, Alpha::TWO_PI_THIRDS);
         let moved = a

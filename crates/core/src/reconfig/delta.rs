@@ -41,12 +41,12 @@ use std::collections::BTreeSet;
 use std::time::Instant;
 
 use cbtc_geom::{gap::FlatGapTracker, Alpha, Point2};
-use cbtc_graph::{Layout, NodeId, SpatialGrid, UndirectedGraph, UnionFind};
+use cbtc_graph::{Layout, NodeId, SpatialGrid, UndirectedGraph};
 use cbtc_metrics::{Counter, Histogram, MetricsRegistry};
 use cbtc_trace::{TraceEvent, TraceHandle};
 
 use crate::centralized::{
-    construction_cell, dead_view, grow_node_metric_scratch, GrowScratch, PAR_MIN_CHUNK,
+    dead_view, grow_node_metric_scratch, grow_stage, guarded_pairwise, GrowScratch,
 };
 use crate::opt::{
     node_floor_with, node_redundancy_with, pairwise_removal_with, shrink_back_view, PairwisePolicy,
@@ -200,10 +200,9 @@ enum FinalStage {
     /// the unit disk, where Theorem 3.6 needs no guard).
     Pairwise(PairwiseState),
     /// §3.3 pairwise removal behind the union-find connectivity guard of
-    /// [`crate::phy::run_phy_centralized`]: the guard's restorations are
-    /// global, so the stage recomputes from the (incrementally
-    /// maintained) pre-pairwise graph and diffs — still far cheaper than
-    /// re-growing every node.
+    /// [`crate::construct`]: the guard's restorations are global, so the
+    /// stage recomputes from the (incrementally maintained) pre-pairwise
+    /// graph and diffs — still far cheaper than re-growing every node.
     Guarded,
 }
 
@@ -214,10 +213,10 @@ enum FinalStage {
 ///
 /// The maintained [`DeltaTopology::graph`] is edge-for-edge identical to
 /// a from-scratch masked run over the current membership and geometry
-/// ([`crate::run_centralized_masked`] on the geometric metric,
-/// [`crate::phy::run_phy_centralized_masked`] on a phy channel with
-/// `guard = true`); the workspace property tests pin this down for every
-/// event kind on both metrics.
+/// ([`crate::construct`] with the same metric and the active mask; with
+/// `guard = false` only on the geometric metric, where the guard provably
+/// restores nothing); the workspace property tests pin this down for
+/// every event kind on both metrics.
 ///
 /// # Example
 ///
@@ -388,32 +387,7 @@ impl<M: LinkMetric> DeltaTopology<M> {
         metric: M,
     ) -> Self {
         assert_eq!(active.len(), layout.len(), "active mask size mismatch");
-        let population = active.iter().filter(|a| **a).count();
-        let mut grid = SpatialGrid::new(construction_cell(&layout, max_range, population));
-        for (id, p) in layout.iter() {
-            if active[id.index()] {
-                grid.insert(id, p);
-            }
-        }
-        let ids: Vec<NodeId> = layout.node_ids().collect();
-        let basic: Vec<NodeView> = par_map_with(&ids, PAR_MIN_CHUNK, GrowScratch::new, {
-            let (layout, grid, metric, active) = (&layout, &grid, &metric, &active);
-            move |scratch, &u| {
-                if active[u.index()] {
-                    grow_node_metric_scratch(
-                        layout,
-                        grid,
-                        metric,
-                        u,
-                        config.alpha(),
-                        max_range,
-                        scratch,
-                    )
-                } else {
-                    dead_view()
-                }
-            }
-        });
+        let (grid, basic) = grow_stage(&layout, max_range, &metric, config.alpha(), Some(&active));
         let effective: Vec<NodeView> = if config.shrink_back() {
             basic
                 .iter()
@@ -438,10 +412,8 @@ impl<M: LinkMetric> DeltaTopology<M> {
         let (stage, graph) = if !config.pairwise_removal() {
             (FinalStage::Closure, pre_pairwise.clone())
         } else if guard {
-            (
-                FinalStage::Guarded,
-                guarded_pairwise(&pre_pairwise, &layout, &metric),
-            )
+            let graph = guarded_pairwise(&pre_pairwise, &layout, &metric).0.graph;
+            (FinalStage::Guarded, graph)
         } else {
             let length = |a: NodeId, b: NodeId| metric.cost(a, b, layout.distance(a, b));
             let state = PairwiseState::over(&pre_pairwise, &layout, &length);
@@ -1016,7 +988,7 @@ impl<M: LinkMetric> DeltaTopology<M> {
                 // so re-derive the optimization tail from the maintained
                 // pre-pairwise graph and diff. The expensive part — the
                 // growth phase — stayed incremental.
-                let next = guarded_pairwise(pre_pairwise, layout, metric);
+                let next = guarded_pairwise(pre_pairwise, layout, metric).0.graph;
                 let delta = graph_delta(graph, &next);
                 *graph = next;
                 delta
@@ -1025,38 +997,11 @@ impl<M: LinkMetric> DeltaTopology<M> {
     }
 }
 
-/// §3.3 pairwise removal measured through the metric, behind the
-/// union-find connectivity guard — byte-for-byte the optimization tail of
-/// [`crate::phy::run_phy_centralized`].
-fn guarded_pairwise<M: LinkMetric>(
-    pre_pairwise: &UndirectedGraph,
-    layout: &Layout,
-    metric: &M,
-) -> UndirectedGraph {
-    let outcome = pairwise_removal_with(
-        pre_pairwise,
-        layout,
-        PairwisePolicy::PowerReducing,
-        |a, b| metric.cost(a, b, layout.distance(a, b)),
-    );
-    let mut graph = outcome.graph;
-    let mut uf = UnionFind::new(graph.node_count());
-    for (u, v) in graph.edges() {
-        uf.union(u, v);
-    }
-    for &(u, v) in &outcome.removed {
-        if uf.union(u, v) {
-            graph.add_edge(u, v);
-        }
-    }
-    graph
-}
-
 /// The smallest slice of affected nodes worth handing a re-grow worker.
 /// Re-grows are heavier than construction grows on average (a replay
 /// still walks the cached prefix) but batches are smaller, so the chunk
-/// floor sits well below [`PAR_MIN_CHUNK`]: a 64-node affected set can
-/// already fan out on two cores.
+/// floor sits well below [`crate::PAR_MIN_CHUNK`]: a 64-node affected set
+/// can already fan out on two cores.
 const REGROW_MIN_CHUNK: usize = 32;
 
 /// One affected node's re-grow work order: its id plus the half-open

@@ -1,11 +1,15 @@
-//! Property tests of the output-sensitive construction engines: the
-//! grid-backed growing phase must match the all-pairs oracle *exactly* —
-//! same discoveries, same boundary flags, same grow radii — on layouts
-//! engineered to stress every tie-breaking and cell-boundary path.
+//! Property tests of the construction pipeline: the grid-backed growing
+//! phase must match the all-pairs oracle *exactly* — same discoveries,
+//! same boundary flags, same grow radii — on one thread and on many, on
+//! layouts engineered to stress every tie-breaking and cell-boundary
+//! path; and on the unit disk the pairwise connectivity guard must never
+//! fire (Theorem 3.6).
 
+use cbtc_core::parallel::set_thread_cap;
+use cbtc_core::reconfig::GeometricMetric;
 use cbtc_core::{
-    grow_node_in_grid, run_basic_with, run_centralized, run_centralized_masked, CbtcConfig,
-    ConstructionMode, Network,
+    construct, grow_node_metric_scratch, run_basic, run_basic_brute, run_centralized,
+    run_centralized_masked, CbtcConfig, GrowScratch, Network,
 };
 use cbtc_geom::{Alpha, Point2};
 use cbtc_graph::{Layout, NodeId, SpatialGrid, UndirectedGraph};
@@ -13,6 +17,21 @@ use proptest::prelude::*;
 
 fn alphas() -> [Alpha; 2] {
     [Alpha::FIVE_PI_SIXTHS, Alpha::TWO_PI_THIRDS]
+}
+
+fn configs() -> [CbtcConfig; 3] {
+    [
+        CbtcConfig::new(Alpha::FIVE_PI_SIXTHS),
+        CbtcConfig::all_applicable(Alpha::FIVE_PI_SIXTHS),
+        CbtcConfig::all_applicable(Alpha::TWO_PI_THIRDS),
+    ]
+}
+
+/// A deterministic pseudo-random alive mask from a seed.
+fn mask(n: usize, mask_seed: u64) -> Vec<bool> {
+    (0..n)
+        .map(|i| (mask_seed >> (i % 64)) & 1 == 0 || i % 5 == 0)
+        .collect()
 }
 
 /// Random layouts with no two nodes exactly coincident (directions are
@@ -57,14 +76,17 @@ fn lattice_layouts(pitch: f64) -> impl Strategy<Value = Layout> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// All three construction engines agree on random layouts.
+    /// The all-pairs oracle, the grid engine pinned to one thread and the
+    /// grid engine with no thread cap agree on random layouts.
     #[test]
     fn engines_agree_on_random_layouts(layout in layouts()) {
         let network = Network::with_paper_radio(layout);
         for alpha in alphas() {
-            let brute = run_basic_with(&network, alpha, ConstructionMode::Brute);
-            let grid = run_basic_with(&network, alpha, ConstructionMode::Grid);
-            let par = run_basic_with(&network, alpha, ConstructionMode::GridParallel);
+            let brute = run_basic_brute(&network, alpha);
+            set_thread_cap(Some(1));
+            let grid = run_basic(&network, alpha);
+            set_thread_cap(None);
+            let par = run_basic(&network, alpha);
             prop_assert_eq!(&brute, &grid, "grid != brute");
             prop_assert_eq!(&grid, &par, "parallel != grid");
         }
@@ -78,15 +100,18 @@ proptest! {
         let network = Network::with_paper_radio(layout.clone());
         let r = network.max_range();
         for alpha in alphas() {
-            let brute = run_basic_with(&network, alpha, ConstructionMode::Brute);
-            let default = run_basic_with(&network, alpha, ConstructionMode::Grid);
+            let brute = run_basic_brute(&network, alpha);
+            let default = run_basic(&network, alpha);
             prop_assert_eq!(&brute, &default, "default cell");
             // Cell exactly the lattice pitch (every node on a cell
             // corner), much smaller, and larger than the max range.
             for cell in [125.0, 30.0, 800.0] {
                 let grid = SpatialGrid::from_layout(&layout, cell);
+                let mut scratch = GrowScratch::new();
                 for u in layout.node_ids() {
-                    let view = grow_node_in_grid(&layout, &grid, u, alpha, r);
+                    let view = grow_node_metric_scratch(
+                        &layout, &grid, &GeometricMetric, u, alpha, r, &mut scratch,
+                    );
                     prop_assert_eq!(
                         &view,
                         brute.view(u),
@@ -106,10 +131,7 @@ proptest! {
     ) {
         let network = Network::with_paper_radio(layout);
         let n = network.len();
-        // A deterministic pseudo-random alive mask from the seed.
-        let alive: Vec<bool> = (0..n)
-            .map(|i| (mask_seed >> (i % 64)) & 1 == 0 || i % 5 == 0)
-            .collect();
+        let alive = mask(n, mask_seed);
         for alpha in alphas() {
             for config in [CbtcConfig::new(alpha), CbtcConfig::all_applicable(alpha)] {
                 let masked = run_centralized_masked(&network, &config, &alive);
@@ -151,5 +173,27 @@ proptest! {
         let full = run_centralized(&network, &config);
         prop_assert_eq!(masked.final_graph(), full.final_graph());
         prop_assert_eq!(masked.basic(), full.basic());
+    }
+
+    /// Theorem 3.6 on the unit disk: the connectivity guard behind
+    /// pairwise removal restores nothing, full or masked, at every
+    /// optimization level — so running it unconditionally changes no
+    /// geometric construction.
+    #[test]
+    fn geometric_guard_never_restores(layout in layouts(), mask_seed in 0u64..u64::MAX) {
+        let network = Network::with_paper_radio(layout);
+        let alive = mask(network.len(), mask_seed);
+        for config in configs() {
+            for alive in [None, Some(alive.as_slice())] {
+                let run = construct(&network, &GeometricMetric, &config, alive);
+                prop_assert!(
+                    run.pairwise_restored().is_empty(),
+                    "config {:?}, masked {}: restored {:?}",
+                    config,
+                    alive.is_some(),
+                    run.pairwise_restored()
+                );
+            }
+        }
     }
 }

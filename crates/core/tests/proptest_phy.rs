@@ -3,8 +3,8 @@
 //! Three guarantees are pinned down:
 //!
 //! 1. **Ideal equivalence** — with every link gain exactly 1 and exact
-//!    sensing, the phy pipeline is bit-identical to the geometric
-//!    reference (`run_centralized`), full and masked, at every
+//!    sensing, `construct` over a phy metric is bit-identical to
+//!    `construct` over the geometric metric, full and masked, at every
 //!    optimization level.
 //! 2. **Pairwise-removal safety off the unit disk** — on lossy
 //!    (shadowed, per-direction asymmetric) topologies, the guarded
@@ -18,10 +18,9 @@
 //!    ideal channel it preserves the reach graph's connectivity exactly
 //!    as Theorem 3.2 promises.
 
-use cbtc_core::phy::{
-    phy_reach_graph, run_phy_basic, run_phy_centralized, run_phy_centralized_masked, PhyChannel,
-};
-use cbtc_core::{run_basic, run_centralized, run_centralized_masked, CbtcConfig, Network};
+use cbtc_core::phy::{phy_reach_graph, AckGatedChannel, PhyChannel};
+use cbtc_core::reconfig::GeometricMetric;
+use cbtc_core::{construct, CbtcConfig, Network};
 use cbtc_geom::{Alpha, Point2};
 use cbtc_graph::connectivity::same_partition;
 use cbtc_graph::Layout;
@@ -57,38 +56,31 @@ fn configs() -> [CbtcConfig; 3] {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Ideal channel ⇒ the phy pipeline replays the geometric one bit
-    /// for bit (growth views, final graphs, pairwise removals; the
-    /// connectivity guard never fires).
+    /// Ideal channel ⇒ the construction over either phy metric (plain
+    /// and feedback-gated) replays the geometric one bit for bit —
+    /// growth views, final graphs, pairwise removals; the connectivity
+    /// guard never fires — full and masked, at every optimization level.
     #[test]
-    fn ideal_phy_pipeline_is_bit_identical(network in networks()) {
+    fn ideal_phy_pipeline_is_bit_identical(network in networks(), mask_seed in 0u64..1000) {
         let channel = PhyChannel::new(network.model(), &IdealGain);
-        for alpha in [Alpha::FIVE_PI_SIXTHS, Alpha::TWO_PI_THIRDS] {
-            prop_assert_eq!(
-                run_phy_basic(&network, &channel, alpha).views(),
-                run_basic(&network, alpha).views()
-            );
-        }
-        for config in configs() {
-            let phy = run_phy_centralized(&network, &channel, &config);
-            let ideal = run_centralized(&network, &config);
-            prop_assert_eq!(phy.final_graph(), ideal.final_graph());
-            prop_assert_eq!(phy.pairwise_removed(), ideal.pairwise_removed());
-            prop_assert!(phy.pairwise_restored().is_empty());
-        }
-    }
-
-    /// Ideal channel, masked: the survivor re-run matches too.
-    #[test]
-    fn ideal_phy_masked_is_bit_identical(network in networks(), mask_seed in 0u64..1000) {
-        let channel = PhyChannel::new(network.model(), &IdealGain);
+        let gated = AckGatedChannel::new(&channel, network.max_range());
         let alive: Vec<bool> = (0..network.len())
             .map(|i| (i as u64).wrapping_mul(0x9E37_79B9).wrapping_add(mask_seed) % 4 != 0)
             .collect();
-        let config = CbtcConfig::all_applicable(Alpha::TWO_PI_THIRDS);
-        let phy = run_phy_centralized_masked(&network, &channel, &config, &alive);
-        let ideal = run_centralized_masked(&network, &config, &alive);
-        prop_assert_eq!(phy.final_graph(), ideal.final_graph());
+        for config in configs() {
+            for alive in [None, Some(alive.as_slice())] {
+                let ideal = construct(&network, &GeometricMetric, &config, alive);
+                for phy in [
+                    construct(&network, &channel, &config, alive),
+                    construct(&network, &gated, &config, alive),
+                ] {
+                    prop_assert_eq!(phy.basic().views(), ideal.basic().views());
+                    prop_assert_eq!(phy.final_graph(), ideal.final_graph());
+                    prop_assert_eq!(phy.pairwise_removed(), ideal.pairwise_removed());
+                    prop_assert!(phy.pairwise_restored().is_empty());
+                }
+            }
+        }
     }
 
     /// On lossy topologies (independent per-direction shadowing), the
@@ -104,7 +96,7 @@ proptest! {
         let shadowing = Shadowing::new(sigma, ShadowingMode::Independent, seed);
         let channel = PhyChannel::new(network.model(), &shadowing);
         let config = CbtcConfig::all_applicable(Alpha::TWO_PI_THIRDS);
-        let run = run_phy_centralized(&network, &channel, &config);
+        let run = construct(&network, &channel, &config, None);
         // Reconstruct the graph the pairwise stage was given: the
         // symmetric core of the post-shrink outcome.
         let pre_pairwise = run.effective().symmetric_core();
@@ -131,7 +123,7 @@ proptest! {
         let shadowing = Shadowing::new(sigma, ShadowingMode::Independent, seed);
         let channel = PhyChannel::new(network.model(), &shadowing);
         let config = CbtcConfig::all_applicable(Alpha::TWO_PI_THIRDS);
-        let run = run_phy_centralized(&network, &channel, &config);
+        let run = construct(&network, &channel, &config, None);
         let reach = phy_reach_graph(&network, &channel);
         prop_assert!(
             run.final_graph().is_subgraph_of(&reach),

@@ -4,11 +4,11 @@
 //! the current membership and geometry — on the **geometric** metric
 //! (against `run_centralized_masked`) and on a **shadowed
 //! effective-distance** metric with genuinely asymmetric links (against
-//! the guarded `run_phy_centralized_masked`).
+//! `construct` over the same channel and the active mask).
 
-use cbtc_core::phy::{run_phy_centralized_masked, PhyChannel};
+use cbtc_core::phy::{AckGatedChannel, PhyChannel};
 use cbtc_core::reconfig::{DeltaTopology, GeometricMetric, LinkMetric, NodeEvent};
-use cbtc_core::{run_centralized_masked, CbtcConfig, Network};
+use cbtc_core::{construct, run_centralized_masked, CbtcConfig, Network};
 use cbtc_geom::{Alpha, Point2};
 use cbtc_graph::{Layout, NodeId, UndirectedGraph};
 use cbtc_phy::{Shadowing, ShadowingMode};
@@ -231,7 +231,7 @@ proptest! {
                 topo.apply(batch);
                 let network = Network::new(topo.layout().clone(), model);
                 let channel = PhyChannel::new(network.model(), &metric.shadowing);
-                let full = run_phy_centralized_masked(&network, &channel, &config, topo.active())
+                let full = construct(&network, &channel, &config, Some(topo.active()))
                     .into_final_graph();
                 prop_assert_eq!(
                     topo.graph(), &full,
@@ -289,10 +289,9 @@ proptest! {
             );
             let network = Network::new(topo.layout().clone(), model);
             let channel = PhyChannel::new(network.model(), &metric.inner.shadowing);
-            let full = cbtc_core::phy::run_phy_gated_centralized_masked(
-                &network, &channel, &config, topo.active(),
-            )
-            .into_final_graph();
+            let gated = AckGatedChannel::new(&channel, network.max_range());
+            let full = construct(&network, &gated, &config, Some(topo.active()))
+                .into_final_graph();
             prop_assert_eq!(
                 topo.graph(), &full,
                 "gated metric, σ {} diverged after {:?}", sigma, batch

@@ -21,12 +21,9 @@
 
 use std::sync::Arc;
 
-use cbtc_core::phy::{
-    phy_reach_graph, phy_reach_graph_where, run_phy_centralized, run_phy_centralized_masked,
-    run_phy_gated_centralized, run_phy_gated_centralized_masked, PhyChannel,
-};
+use cbtc_core::phy::{phy_reach_graph, phy_reach_graph_where, AckGatedChannel, PhyChannel};
 use cbtc_core::reconfig::{DeltaTopology, LinkMetric};
-use cbtc_core::Network;
+use cbtc_core::{construct, Network};
 use cbtc_graph::{NodeId, UndirectedGraph};
 use cbtc_phy::{PhyProfile, PrrCurve, Shadowing};
 use cbtc_radio::{DirectionSensor, LinkGain, PathLoss, Power, PowerBasis, PowerLaw, Prr};
@@ -77,39 +74,39 @@ impl PhyPolicy {
             basis: PowerBasis::Geometric,
         }
     }
+
+    /// The link metric this policy's CBTC construction measures with, on
+    /// `network`'s radio.
+    fn metric(&self, network: &Network) -> PhyMetric {
+        PhyMetric {
+            model: *network.model(),
+            shadowing: self.profile.shadowing(),
+            sensor: self.profile.sensor(),
+            gate: (self.basis == PowerBasis::Measured).then(|| network.max_range()),
+        }
+    }
 }
 
 impl TopologyBuilder for PhyPolicy {
     fn build(&self, network: &Network) -> UndirectedGraph {
-        let shadowing = self.profile.shadowing();
-        let channel =
-            PhyChannel::new(network.model(), &shadowing).with_sensor(self.profile.sensor());
-        match (self.policy, self.basis) {
-            (TopologyPolicy::MaxPower, _) => phy_reach_graph(network, &channel),
-            (TopologyPolicy::Cbtc(config), PowerBasis::Geometric) => {
-                run_phy_centralized(network, &channel, &config).into_final_graph()
-            }
-            (TopologyPolicy::Cbtc(config), PowerBasis::Measured) => {
-                run_phy_gated_centralized(network, &channel, &config).into_final_graph()
+        let metric = self.metric(network);
+        match self.policy {
+            TopologyPolicy::MaxPower => phy_reach_graph(network, &metric.channel()),
+            TopologyPolicy::Cbtc(config) => {
+                construct(network, &metric, &config, None).into_final_graph()
             }
         }
     }
 
     fn build_on_survivors(&self, network: &Network, alive: &[bool]) -> UndirectedGraph {
         assert_eq!(alive.len(), network.len(), "alive mask size mismatch");
-        let shadowing = self.profile.shadowing();
-        let channel =
-            PhyChannel::new(network.model(), &shadowing).with_sensor(self.profile.sensor());
-        match (self.policy, self.basis) {
-            (TopologyPolicy::MaxPower, _) => {
-                phy_reach_graph_where(network, &channel, |u| alive[u.index()])
+        let metric = self.metric(network);
+        match self.policy {
+            TopologyPolicy::MaxPower => {
+                phy_reach_graph_where(network, &metric.channel(), |u| alive[u.index()])
             }
-            (TopologyPolicy::Cbtc(config), PowerBasis::Geometric) => {
-                run_phy_centralized_masked(network, &channel, &config, alive).into_final_graph()
-            }
-            (TopologyPolicy::Cbtc(config), PowerBasis::Measured) => {
-                run_phy_gated_centralized_masked(network, &channel, &config, alive)
-                    .into_final_graph()
+            TopologyPolicy::Cbtc(config) => {
+                construct(network, &metric, &config, Some(alive)).into_final_graph()
             }
         }
     }
@@ -133,18 +130,18 @@ impl TopologyBuilder for PhyPolicy {
 /// An owning [`LinkMetric`] over a [`PhyProfile`]'s frozen channel: the
 /// effective distance `d·g^(−1/n)` with the profile's angle-of-arrival
 /// sensor. Every call constructs the borrowing [`PhyChannel`] on the
-/// spot, so the arithmetic is *the same code* the from-scratch
-/// [`run_phy_centralized_masked`] runs — bit-identity by construction.
+/// spot, so the arithmetic is *the same code* the borrowing channel
+/// metrics run. One metric serves both the from-scratch [`construct`]
+/// builds and the incremental survivor topology, so the two agree bit for
+/// bit by construction.
 #[derive(Debug, Clone)]
 struct PhyMetric {
     model: PowerLaw,
     shadowing: Shadowing,
     sensor: DirectionSensor,
-    /// `Some(max_range)` under measured pricing: the same reverse-
-    /// reachability gate as [`cbtc_core::phy::AckGatedChannel`], so the
-    /// incremental survivor topology maintains exactly the graph
-    /// [`run_phy_gated_centralized_masked`] rebuilds. `None` leaves the
-    /// historical ungated arithmetic untouched.
+    /// `Some(max_range)` under measured pricing: costs go through
+    /// [`AckGatedChannel`]'s reverse-reachability gate. `None` leaves the
+    /// ungated arithmetic untouched.
     gate: Option<f64>,
 }
 
@@ -158,8 +155,8 @@ impl LinkMetric for PhyMetric {
     fn cost(&self, u: NodeId, v: NodeId, d: f64) -> f64 {
         let channel = self.channel();
         match self.gate {
-            Some(max_range) if channel.effective_distance(v, u, d) > max_range => f64::INFINITY,
-            _ => channel.cost(u, v, d),
+            Some(max_range) => AckGatedChannel::new(&channel, max_range).cost(u, v, d),
+            None => channel.cost(u, v, d),
         }
     }
 
@@ -183,12 +180,7 @@ fn phy_survivor_topology(
     network: &Network,
     policy: PhyPolicy,
 ) -> MetricSurvivorTopology<PhyMetric> {
-    let metric = PhyMetric {
-        model: *network.model(),
-        shadowing: policy.profile.shadowing(),
-        sensor: policy.profile.sensor(),
-        gate: (policy.basis == PowerBasis::Measured).then(|| network.max_range()),
-    };
+    let metric = policy.metric(network);
     match policy.policy {
         TopologyPolicy::MaxPower => {
             let channel = metric.channel();

@@ -2,12 +2,13 @@
 //!
 //! The paper's evaluation methodology (§5) averages every measurement
 //! over 100 random networks; lifetime experiments inherit that protocol.
-//! [`run_trials`] fans independent seeds out over `std::thread` workers
-//! (the container has no rayon, and a scoped-thread fan-out is all the
-//! structure this embarrassingly parallel workload needs), and
+//! [`run_trials`] fans independent seeds out with
+//! [`cbtc_core::parallel::par_map`] (seed order kept, panics propagated,
+//! honouring the session thread cap), and
 //! [`aggregate`] reduces the reports to mean / standard deviation / 95%
 //! confidence intervals.
 
+use cbtc_core::parallel::par_map;
 use cbtc_core::Network;
 use cbtc_workloads::{RandomPlacement, Scenario};
 use serde::{Deserialize, Serialize};
@@ -99,8 +100,9 @@ pub fn aggregate(reports: &[LifetimeReport]) -> LifetimeAggregate {
     }
 }
 
-/// Runs one lifetime trial per seed, in parallel across OS threads, and
-/// returns the reports in seed order.
+/// Runs one lifetime trial per seed, in parallel across OS threads (at
+/// most [`cbtc_core::parallel::set_thread_cap`] of them), and returns the
+/// reports in seed order.
 ///
 /// `make_network` must be deterministic in the seed (it is called on
 /// worker threads).
@@ -131,35 +133,10 @@ where
     F: Fn(u64) -> Network + Sync,
     S: Fn(Network, u64) -> LifetimeSim + Sync,
 {
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(seeds.len().max(1));
-    let chunk_size = seeds.len().div_ceil(threads.max(1)).max(1);
-    let mut reports: Vec<Vec<LifetimeReport>> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = seeds
-            .chunks(chunk_size)
-            .map(|chunk| {
-                let make_network = &make_network;
-                let make_sim = &make_sim;
-                scope.spawn(move || {
-                    // This fan-out already claims every core; growth-phase
-                    // parallel maps inside each trial must not multiply it.
-                    cbtc_core::parallel::without_nested_fan_out(|| {
-                        chunk
-                            .iter()
-                            .map(|&seed| make_sim(make_network(seed), seed).run())
-                            .collect::<Vec<LifetimeReport>>()
-                    })
-                })
-            })
-            .collect();
-        for handle in handles {
-            reports.push(handle.join().expect("lifetime worker panicked"));
-        }
-    });
-    reports.into_iter().flatten().collect()
+    // One seed per chunk: trials are few and each is expensive. Growth-
+    // phase fan-outs inside a trial run inline, since this one already
+    // claims the cores.
+    par_map(seeds, 1, |&seed| make_sim(make_network(seed), seed).run())
 }
 
 /// Runs a whole lifetime experiment: every policy over the scenario's
@@ -272,5 +249,30 @@ mod tests {
             max_power.first_death.mean
         );
         assert!(cbtc.partition.mean >= max_power.partition.mean);
+    }
+
+    #[test]
+    fn thread_cap_leaves_reports_unchanged() {
+        let scenario = tiny_scenario();
+        let generator = RandomPlacement::from_scenario(&scenario);
+        let seeds: Vec<u64> = scenario.seeds(3).collect();
+        let policy = TopologyPolicy::Cbtc(CbtcConfig::all_applicable(Alpha::FIVE_PI_SIXTHS));
+        let run = || {
+            run_trials(
+                |s| generator.generate(s),
+                policy,
+                LifetimeConfig::smoke(),
+                &seeds,
+            )
+        };
+        cbtc_core::parallel::set_thread_cap(Some(1));
+        let pinned = run();
+        cbtc_core::parallel::set_thread_cap(None);
+        let uncapped = run();
+        assert_eq!(
+            pinned, uncapped,
+            "the thread cap must not change any report"
+        );
+        assert_eq!(pinned.len(), seeds.len());
     }
 }

@@ -3,7 +3,7 @@
 use std::f64::consts::TAU;
 
 use cbtc_geom::coverage::ArcSet;
-use cbtc_geom::gap::{has_alpha_gap, max_gap, widest_gap};
+use cbtc_geom::gap::{has_alpha_gap, max_gap, widest_gap, FlatGapTracker};
 use cbtc_geom::triangle::{angle_at, largest_angle_faces_largest_side};
 use cbtc_geom::{Alpha, Angle, Cone, Point2};
 use proptest::prelude::*;
@@ -153,5 +153,26 @@ proptest! {
         let fwd = a.direction_to(b);
         let back = b.direction_to(a);
         prop_assert!(fwd.circular_distance(back.opposite()) < 1e-9);
+    }
+
+    /// The incremental tracker agrees bit-for-bit with the batch scan
+    /// after every insertion, and its final state does not depend on the
+    /// insertion order.
+    #[test]
+    fn flat_tracker_matches_batch_on_every_prefix(dirs in angles(24), alpha in alphas()) {
+        let mut forward = FlatGapTracker::new(alpha);
+        for (i, &d) in dirs.iter().enumerate() {
+            forward.insert(d);
+            let prefix = &dirs[..=i];
+            prop_assert_eq!(forward.max_gap().to_bits(), max_gap(prefix).to_bits());
+            prop_assert_eq!(forward.has_open_gap(), has_alpha_gap(prefix, alpha));
+        }
+        let mut backward = FlatGapTracker::new(alpha);
+        for &d in dirs.iter().rev() {
+            backward.insert(d);
+        }
+        prop_assert_eq!(forward.len(), backward.len());
+        prop_assert_eq!(forward.max_gap().to_bits(), backward.max_gap().to_bits());
+        prop_assert_eq!(forward.has_open_gap(), backward.has_open_gap());
     }
 }

@@ -118,8 +118,8 @@
 //! paper's model:
 //!
 //! ```
-//! use cbtc::core::phy::{run_phy_centralized, PhyChannel};
-//! use cbtc::core::{run_centralized, CbtcConfig};
+//! use cbtc::core::phy::PhyChannel;
+//! use cbtc::core::{construct, run_centralized, CbtcConfig};
 //! use cbtc::geom::Alpha;
 //! use cbtc::radio::IdealGain;
 //! use cbtc::workloads::{RandomPlacement, Scenario};
@@ -127,7 +127,7 @@
 //! let network = RandomPlacement::from_scenario(&Scenario::smoke()).generate(3);
 //! let config = CbtcConfig::all_applicable(Alpha::TWO_PI_THIRDS);
 //! let channel = PhyChannel::new(network.model(), &IdealGain);
-//! let phy = run_phy_centralized(&network, &channel, &config);
+//! let phy = construct(&network, &channel, &config, None);
 //! let ideal = run_centralized(&network, &config);
 //! assert_eq!(phy.final_graph(), ideal.final_graph());
 //! ```

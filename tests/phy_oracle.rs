@@ -2,7 +2,8 @@
 //! phase run under [`PowerBasis::Measured`] over a deterministic shadowed
 //! channel must land on exactly the topology the *centralized*
 //! feedback-gated effective-distance reference
-//! ([`cbtc::core::phy::run_phy_gated_centralized`]) computes — across
+//! ([`cbtc::core::construct`] over [`cbtc::core::phy::AckGatedChannel`])
+//! computes — across
 //! seeds, shadowing strengths, and both reciprocity modes.
 //!
 //! Why this is the right reference: a measured-power node prices a link
@@ -12,9 +13,9 @@
 //! discoverable iff `d_eff(v→u) ≤ R` too. That is precisely the
 //! [`cbtc::core::phy::AckGatedChannel`] metric.
 
-use cbtc::core::phy::{optimize_phy, run_phy_gated_centralized, PhyChannel};
+use cbtc::core::phy::{AckGatedChannel, PhyChannel};
 use cbtc::core::protocol::{collect_outcome, CbtcNode, GrowthConfig};
-use cbtc::core::{opt, CbtcConfig, Network};
+use cbtc::core::{construct, opt, optimize, CbtcConfig, Network};
 use cbtc::geom::{Alpha, Point2};
 use cbtc::graph::Layout;
 use cbtc::phy::{PhyProfile, ShadowingMode};
@@ -101,7 +102,7 @@ fn measured_protocol_on_ideal_channel_matches_geometric() {
 /// The differential oracle matrix: 20 seeds × {σ = 4, 8 dB} ×
 /// {reciprocal, per-direction} shadowing. For every cell the distributed
 /// measured-power protocol's outcome, pushed through the §3 pipeline
-/// ([`optimize_phy`]), must equal the centralized gated reference's final
+/// ([`optimize`]) with the gated metric, must equal the centralized gated reference's final
 /// graph — and the per-node neighbor sets must already agree after
 /// shrink-back.
 #[test]
@@ -126,7 +127,8 @@ fn distributed_measured_equals_gated_centralized_across_the_matrix() {
 
                 let shadowing = profile.shadowing();
                 let channel = PhyChannel::new(network.model(), &shadowing);
-                let reference = run_phy_gated_centralized(&network, &channel, &config);
+                let gated = AckGatedChannel::new(&channel, network.max_range());
+                let reference = construct(&network, &gated, &config, None);
 
                 // Neighbor sets after shrink-back (IDs, not distances:
                 // the distributed side stores §2 estimates that differ
@@ -142,7 +144,7 @@ fn distributed_measured_equals_gated_centralized_across_the_matrix() {
                 }
 
                 // Final graphs through the identical pipeline.
-                let d_run = optimize_phy(&network, &channel, &config, distributed);
+                let d_run = optimize(&network, &gated, &config, distributed);
                 assert_eq!(
                     d_run.final_graph(),
                     reference.final_graph(),
@@ -168,8 +170,9 @@ fn reciprocal_gains_make_the_gate_invisible() {
         let network = Network::new(Layout::new(scattered(16, 900.0, seed + 3)), model);
         let shadowing = profile.shadowing();
         let channel = PhyChannel::new(network.model(), &shadowing);
-        let gated = run_phy_gated_centralized(&network, &channel, &config);
-        let plain = cbtc::core::phy::run_phy_centralized(&network, &channel, &config);
+        let gate = AckGatedChannel::new(&channel, network.max_range());
+        let gated = construct(&network, &gate, &config, None);
+        let plain = construct(&network, &channel, &config, None);
         assert_eq!(gated.final_graph(), plain.final_graph(), "seed {seed}");
     }
 }
