@@ -318,6 +318,35 @@ mod tests {
         }
     }
 
+    /// The public geometric entry point agrees with the phy pipeline on
+    /// an ideal channel: same growth views from `run_basic`.
+    #[test]
+    fn ideal_channel_reproduces_run_basic_bitwise() {
+        for seed in [1, 5, 23] {
+            let network = scattered(60, 1400.0, seed);
+            let channel = PhyChannel::new(network.model(), &IdealGain);
+            for alpha in [Alpha::FIVE_PI_SIXTHS, Alpha::TWO_PI_THIRDS] {
+                let phy = construct(&network, &channel, &CbtcConfig::new(alpha), None);
+                let ideal = run_basic(&network, alpha);
+                assert_eq!(phy.basic().views(), ideal.views(), "seed {seed}, α {alpha}");
+            }
+        }
+    }
+
+    /// The masked geometric entry point agrees with the masked phy
+    /// pipeline on an ideal channel: same growth views, dead nodes
+    /// included.
+    #[test]
+    fn ideal_masked_matches_run_basic_masked_bitwise() {
+        let network = scattered(40, 1000.0, 7);
+        let channel = PhyChannel::new(network.model(), &IdealGain);
+        let alive: Vec<bool> = (0..network.len()).map(|i| i % 5 != 0).collect();
+        let config = CbtcConfig::new(Alpha::TWO_PI_THIRDS);
+        let phy = construct(&network, &channel, &config, Some(&alive));
+        let ideal = crate::run_centralized_masked(&network, &config, &alive);
+        assert_eq!(phy.basic().views(), ideal.basic().views());
+    }
+
     #[test]
     fn ideal_reach_graph_is_the_unit_disk() {
         let network = scattered(40, 1200.0, 3);

@@ -20,7 +20,7 @@
 
 use cbtc_core::phy::{phy_reach_graph, AckGatedChannel, PhyChannel};
 use cbtc_core::reconfig::GeometricMetric;
-use cbtc_core::{construct, CbtcConfig, Network};
+use cbtc_core::{construct, run_centralized_masked, CbtcConfig, Network};
 use cbtc_geom::{Alpha, Point2};
 use cbtc_graph::connectivity::same_partition;
 use cbtc_graph::Layout;
@@ -81,6 +81,21 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// The public masked geometric entry point agrees with the masked
+    /// phy pipeline on an ideal channel.
+    #[test]
+    fn ideal_phy_masked_is_bit_identical(network in networks(), mask_seed in 0u64..1000) {
+        let channel = PhyChannel::new(network.model(), &IdealGain);
+        let alive: Vec<bool> = (0..network.len())
+            .map(|i| (i as u64).wrapping_mul(0x9E37_79B9).wrapping_add(mask_seed) % 4 != 0)
+            .collect();
+        let config = CbtcConfig::all_applicable(Alpha::TWO_PI_THIRDS);
+        let phy = construct(&network, &channel, &config, Some(&alive));
+        let ideal = run_centralized_masked(&network, &config, &alive);
+        prop_assert_eq!(phy.final_graph(), ideal.final_graph());
+        prop_assert_eq!(phy.basic().views(), ideal.basic().views());
     }
 
     /// On lossy topologies (independent per-direction shadowing), the

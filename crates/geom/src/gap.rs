@@ -381,6 +381,44 @@ mod tests {
     }
 
     #[test]
+    fn flat_tracker_is_bit_identical_to_btree_tracker_on_every_prefix() {
+        // The same stress stream as `tracker_matches_batch_on_every_prefix`,
+        // against an ordered-set reference: a `BTreeSet` of direction bits
+        // holds exactly the distinct directions the flat tracker keeps, and
+        // the batch scan over that set must reproduce the tracker's count,
+        // max gap and verdict bit-for-bit.
+        use std::collections::BTreeSet;
+        let mut stream: Vec<f64> = (0..64)
+            .map(|i| (i as f64 * 0.754_877_666_246_692_8).fract() * TAU)
+            .collect();
+        stream[10] = stream[3];
+        stream[20] = stream[3];
+        stream[30] = 350f64.to_radians();
+        stream[31] = 10f64.to_radians();
+        for alpha in [Alpha::FIVE_PI_SIXTHS, Alpha::TWO_PI_THIRDS] {
+            let mut flat = FlatGapTracker::new(alpha);
+            let mut btree = BTreeSet::new();
+            for (i, &raw) in stream.iter().enumerate() {
+                let dir = Angle::new(raw);
+                flat.insert(dir);
+                btree.insert(dir.radians().to_bits());
+                let set: Vec<Angle> = btree
+                    .iter()
+                    .map(|&b| Angle::new(f64::from_bits(b)))
+                    .collect();
+                assert_eq!(flat.len(), btree.len(), "prefix of {} directions", i + 1);
+                assert_eq!(
+                    flat.max_gap().to_bits(),
+                    max_gap(&set).to_bits(),
+                    "prefix of {} directions",
+                    i + 1
+                );
+                assert_eq!(flat.has_open_gap(), has_alpha_gap(&set, alpha));
+            }
+        }
+    }
+
+    #[test]
     fn tracker_handles_duplicates_and_identical_sets() {
         let mut t = FlatGapTracker::new(Alpha::FIVE_PI_SIXTHS);
         assert!(t.is_empty());

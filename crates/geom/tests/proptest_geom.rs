@@ -156,8 +156,7 @@ proptest! {
     }
 
     /// The incremental tracker agrees bit-for-bit with the batch scan
-    /// after every insertion, and its final state does not depend on the
-    /// insertion order.
+    /// after every insertion.
     #[test]
     fn flat_tracker_matches_batch_on_every_prefix(dirs in angles(24), alpha in alphas()) {
         let mut forward = FlatGapTracker::new(alpha);
@@ -167,12 +166,5 @@ proptest! {
             prop_assert_eq!(forward.max_gap().to_bits(), max_gap(prefix).to_bits());
             prop_assert_eq!(forward.has_open_gap(), has_alpha_gap(prefix, alpha));
         }
-        let mut backward = FlatGapTracker::new(alpha);
-        for &d in dirs.iter().rev() {
-            backward.insert(d);
-        }
-        prop_assert_eq!(forward.len(), backward.len());
-        prop_assert_eq!(forward.max_gap().to_bits(), backward.max_gap().to_bits());
-        prop_assert_eq!(forward.has_open_gap(), backward.has_open_gap());
     }
 }

@@ -1,13 +1,17 @@
-//! Property-based equivalence of the trig-free pseudo-angle kernel with
-//! the `Angle` (`atan2`) formulation: ordering, α-gap verdicts, and the
-//! flat trackers, including ties at quadrant boundaries and collinear
-//! directions.
+//! Property tests of the flat gap tracker's incremental state: agreement
+//! with an ordered-set reference after every insertion, and verdicts that
+//! do not depend on the insertion order, over direction vectors biased
+//! toward exact axis rays, exact diagonals and collinear ties.
+//!
+//! The file keeps its historical name: it once also held the properties of
+//! a trig-free pseudo-angle kernel, since removed in favour of the flat
+//! tracker.
 
+use std::collections::BTreeSet;
 use std::f64::consts::TAU;
 
-use cbtc_geom::gap::{max_gap, FlatGapTracker, GapTracker};
-use cbtc_geom::pseudo::{ConeTest, PseudoAngle, PseudoGapTracker};
-use cbtc_geom::{Alpha, Angle, Vec2, EPS};
+use cbtc_geom::gap::{has_alpha_gap, max_gap, FlatGapTracker};
+use cbtc_geom::{Alpha, Angle, Vec2};
 use proptest::prelude::*;
 
 /// Non-zero direction vectors, biased toward the cases that break naive
@@ -51,136 +55,41 @@ fn alphas() -> impl Strategy<Value = Alpha> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Sorting by pseudo-angle is sorting by true angle: the diamond map
-    /// is strictly increasing in `atan2`, with the same tie class (equal
-    /// direction) — collinear same-direction vectors compare equal, and
-    /// opposite vectors do not.
-    #[test]
-    fn pseudo_order_matches_angle_order(a in direction(), b in direction()) {
-        let (pa, pb) = (PseudoAngle::from_vector(a), PseudoAngle::from_vector(b));
-        let angle_cmp = a.angle().radians().total_cmp(&b.angle().radians());
-        // The diamond map and atan2 round independently, so only the
-        // *class* of the comparison must agree: equality ⇔ same ray.
-        let same_ray = a.cross(b) == 0.0 && a.dot(b) > 0.0;
-        if same_ray {
-            // Same ray up to positive scale: both orders may see rounding
-            // in the divide; the pseudo values stay within one quadrant
-            // and within 1 ulp of each other.
-            prop_assert!((pa.value() - pb.value()).abs() < 1e-12);
-        } else {
-            prop_assert_eq!(pa.cmp(&pb), angle_cmp, "a={} b={}", a, b);
-        }
-    }
-
-    /// The quadrant read from the pseudo-angle matches the quadrant of
-    /// the true angle, axes included in the quadrant they open.
-    #[test]
-    fn pseudo_quadrant_matches_angle(v in direction()) {
-        let q = PseudoAngle::from_vector(v).quadrant();
-        let expected = match (v.x, v.y) {
-            (x, y) if x > 0.0 && y >= 0.0 => 0,
-            (x, y) if x <= 0.0 && y > 0.0 => 1,
-            (x, y) if x < 0.0 && y <= 0.0 => 2,
-            _ => 3,
-        };
-        prop_assert_eq!(q, expected, "{}", v);
-    }
-
-    /// The cone test agrees with the `ccw_to` comparison everywhere
-    /// outside the floating-point tie band around the threshold.
-    #[test]
-    fn cone_test_matches_ccw_to(a in direction(), b in direction(), theta in 1e-3f64..TAU) {
-        let gap = a.angle().ccw_to(b.angle());
-        prop_assume!((gap - theta).abs() > 1e-9);
-        let cone = ConeTest::new(theta);
-        prop_assert_eq!(cone.exceeded_by(a, b), gap > theta, "a={} b={} θ={}", a, b, theta);
-    }
-
-    /// Collinear ties: the span from a direction to itself is 0 (never
-    /// exceeds), to its opposite exactly π.
-    #[test]
-    fn cone_test_collinear_ties_are_exact(v in direction(), theta in 1e-3f64..TAU) {
-        let cone = ConeTest::new(theta);
-        prop_assert!(!cone.exceeded_by(v, v), "zero span never exceeds");
-        // Power-of-two scaling keeps the cross product exactly zero.
-        prop_assert!(!cone.exceeded_by(v, v * 4.0), "same ray, zero span");
-        let opposite = Vec2::new(-v.x, -v.y);
-        // cross = 0, dot < 0 ⇒ the span is *exactly* π on the query side.
-        prop_assert_eq!(
-            cone.exceeded_by(v, opposite),
-            theta < std::f64::consts::PI,
-            "θ={}", theta
-        );
-    }
-
-    /// The pseudo tracker's α-gap verdict matches the `Angle` tracker
-    /// after every insertion of the same stream, whenever no consecutive
-    /// span sits inside the EPS tie band where the two roundings may
-    /// legitimately disagree.
-    #[test]
-    fn pseudo_tracker_matches_angle_tracker(dirs in directions(24), alpha in alphas()) {
-        let mut pseudo = PseudoGapTracker::new(alpha);
-        let mut radian = GapTracker::new();
-        let mut seen: Vec<Angle> = Vec::new();
-        for v in dirs {
-            pseudo.insert(v);
-            let ang = v.angle();
-            radian.insert(ang);
-            seen.push(ang);
-            // Skip verdict comparison while some span is within the tie
-            // band of the strict threshold α + EPS.
-            let g = max_gap(&seen);
-            if (g - (alpha.radians() + EPS)).abs() < 1e-9 {
-                continue;
-            }
-            prop_assert_eq!(
-                pseudo.has_open_gap(),
-                radian.has_alpha_gap(alpha),
-                "after {} dirs, α={}", seen.len(), alpha.radians()
-            );
-        }
-    }
-
-    /// The flat radian tracker is **bit-identical** to the `BTreeSet`
-    /// tracker — same max gap bits and same verdict after every
-    /// insertion, for every α. (This is the invariant that lets the
-    /// construction hot loop swap trackers without changing one output
-    /// bit.)
+    /// After every insertion the flat tracker holds exactly the distinct
+    /// directions of a `BTreeSet` of direction bits, and the batch scan
+    /// over that set reproduces its max gap and α-gap verdict bit-for-bit.
     #[test]
     fn flat_tracker_bit_identical_to_btree_tracker(
         raw in proptest::collection::vec(0.0f64..TAU, 0..32),
         alpha in alphas(),
     ) {
         let mut flat = FlatGapTracker::new(alpha);
-        let mut tree = GapTracker::new();
+        let mut tree = BTreeSet::new();
         for r in raw {
             let dir = Angle::new(r);
             flat.insert(dir);
-            tree.insert(dir);
+            tree.insert(dir.radians().to_bits());
+            let set: Vec<Angle> = tree.iter().map(|&b| Angle::new(f64::from_bits(b))).collect();
             prop_assert_eq!(flat.len(), tree.len());
-            prop_assert_eq!(flat.max_gap().to_bits(), tree.max_gap().to_bits());
-            prop_assert_eq!(flat.has_open_gap(), tree.has_alpha_gap(alpha));
+            prop_assert_eq!(flat.max_gap().to_bits(), max_gap(&set).to_bits());
+            prop_assert_eq!(flat.has_open_gap(), has_alpha_gap(&set, alpha));
         }
     }
 
-    /// Insertion order is irrelevant for both flat trackers: any
-    /// permutation of the same direction set yields the same verdict.
+    /// Inserting the same directions forwards and backwards leaves the
+    /// tracker in the same state: count, max gap and verdict.
     #[test]
     fn tracker_verdicts_are_order_independent(dirs in directions(12), alpha in alphas()) {
-        let mut forward = PseudoGapTracker::new(alpha);
-        let mut backward = PseudoGapTracker::new(alpha);
-        let mut flat_fwd = FlatGapTracker::new(alpha);
-        let mut flat_bwd = FlatGapTracker::new(alpha);
+        let mut forward = FlatGapTracker::new(alpha);
+        let mut backward = FlatGapTracker::new(alpha);
         for v in &dirs {
-            forward.insert(*v);
-            flat_fwd.insert(v.angle());
+            forward.insert(v.angle());
         }
         for v in dirs.iter().rev() {
-            backward.insert(*v);
-            flat_bwd.insert(v.angle());
+            backward.insert(v.angle());
         }
-        prop_assert_eq!(forward.has_open_gap(), backward.has_open_gap());
         prop_assert_eq!(forward.len(), backward.len());
-        prop_assert_eq!(flat_fwd.max_gap().to_bits(), flat_bwd.max_gap().to_bits());
+        prop_assert_eq!(forward.max_gap().to_bits(), backward.max_gap().to_bits());
+        prop_assert_eq!(forward.has_open_gap(), backward.has_open_gap());
     }
 }
